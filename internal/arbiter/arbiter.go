@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -33,7 +34,7 @@ var (
 	// ErrNoLiveIONs reports arbitration over an empty or fully-down pool.
 	ErrNoLiveIONs = errors.New("arbiter: no live I/O nodes")
 	// ErrIONDown reports a drain request for a node that is already down —
-	// there is nothing graceful left to do; the caller wanted MarkDown.
+	// there is nothing graceful left to do.
 	ErrIONDown = errors.New("arbiter: I/O node is down")
 	// ErrIONAssigned reports a removal of a node still routed to some job.
 	ErrIONAssigned = errors.New("arbiter: I/O node still assigned")
@@ -49,18 +50,17 @@ type Arbiter struct {
 	// at solve time (see WithWeights); nil means unweighted arbitration.
 	weightOf func(id string) float64
 
-	mu         sync.Mutex
-	down       map[string]bool // addresses marked down (health transitions)
-	overloaded map[string]bool // addresses shedding load (overload transitions)
-	draining   map[string]bool // addresses leaving gracefully (scaler drains)
-	degraded   map[string]bool // addresses marked fail-slow (gray-failure plane)
+	mu sync.Mutex
+	// flags holds the node state of every marked pool member (see
+	// package nodestate); an address with no entry is up.
+	flags map[string]nodestate.Flags
 	// quarFloor bounds the quarantine: degraded nodes are excluded from
 	// allocation only while at least quarFloor allocatable nodes remain,
 	// so correlated slowness deprioritizes the tail instead of emptying
 	// the pool. Always ≥ 1; WithQuarantine raises it.
-	quarFloor  int
-	running    map[string]policy.Application
-	assign     map[string][]string // app → addresses
+	quarFloor int
+	running   map[string]policy.Application
+	assign    map[string][]string // app → addresses
 	// SolveTime records the duration of the last policy invocation (the
 	// paper reports 399 µs for its live case).
 	lastSolve time.Duration
@@ -78,13 +78,12 @@ type Arbiter struct {
 
 	// Telemetry handles (nil until Instrument; all no-ops then).
 	tel struct {
-		solves, solveErrors, published   *telemetry.Counter
-		keptMappings                     *telemetry.Counter
-		marksDown, marksUp               *telemetry.Counter
-		marksOverloaded, marksRecovered  *telemetry.Counter
-		drains, drainsAborted            *telemetry.Counter
+		solves, solveErrors, published *telemetry.Counter
+		keptMappings                   *telemetry.Counter
+		// marks counts transitions per flag: [f][0] clears, [f][1]
+		// sets. The Degraded row stays nil until WithQuarantine.
+		marks                            [len(nodestate.All)][2]*telemetry.Counter
 		ionsAdded, ionsRemoved           *telemetry.Counter
-		quarMarks, quarRestores          *telemetry.Counter // nil until WithQuarantine
 		jobsRunning                      *telemetry.Gauge
 		ionsDown, ionsLive, ionsOverload *telemetry.Gauge
 		ionsDraining                     *telemetry.Gauge
@@ -110,16 +109,13 @@ func New(pol policy.Policy, ionAddrs []string, bus *mapping.Bus) (*Arbiter, erro
 		uniq[a] = true
 	}
 	return &Arbiter{
-		pol:        pol,
-		bus:        bus,
-		pool:       append([]string(nil), ionAddrs...),
-		down:       map[string]bool{},
-		overloaded: map[string]bool{},
-		draining:   map[string]bool{},
-		degraded:   map[string]bool{},
-		quarFloor:  1,
-		running:    map[string]policy.Application{},
-		assign:     map[string][]string{},
+		pol:       pol,
+		bus:       bus,
+		pool:      append([]string(nil), ionAddrs...),
+		flags:     map[string]nodestate.Flags{},
+		quarFloor: 1,
+		running:   map[string]policy.Application{},
+		assign:    map[string][]string{},
 	}, nil
 }
 
@@ -138,12 +134,12 @@ func (a *Arbiter) Instrument(reg *telemetry.Registry) *Arbiter {
 	a.tel.solveErrors = reg.Counter("arbiter_solve_errors_total")
 	a.tel.published = reg.Counter("arbiter_mappings_published_total")
 	a.tel.keptMappings = reg.Counter("arbiter_kept_previous_mapping_total")
-	a.tel.marksDown = reg.Counter("arbiter_marked_down_total")
-	a.tel.marksUp = reg.Counter("arbiter_marked_up_total")
-	a.tel.marksOverloaded = reg.Counter("arbiter_marked_overloaded_total")
-	a.tel.marksRecovered = reg.Counter("arbiter_overload_recovered_total")
-	a.tel.drains = reg.Counter("arbiter_drains_started_total")
-	a.tel.drainsAborted = reg.Counter("arbiter_drains_aborted_total")
+	a.tel.marks[nodestate.Down] = [2]*telemetry.Counter{
+		reg.Counter("arbiter_marked_up_total"), reg.Counter("arbiter_marked_down_total")}
+	a.tel.marks[nodestate.Overloaded] = [2]*telemetry.Counter{
+		reg.Counter("arbiter_overload_recovered_total"), reg.Counter("arbiter_marked_overloaded_total")}
+	a.tel.marks[nodestate.Draining] = [2]*telemetry.Counter{
+		reg.Counter("arbiter_drains_aborted_total"), reg.Counter("arbiter_drains_started_total")}
 	a.tel.ionsAdded = reg.Counter("arbiter_ions_added_total")
 	a.tel.ionsRemoved = reg.Counter("arbiter_ions_removed_total")
 	a.tel.jobsRunning = reg.Gauge("arbiter_jobs_running")
@@ -171,7 +167,7 @@ func (a *Arbiter) WithWeights(w func(id string) float64) *Arbiter {
 }
 
 // WithQuarantine sets the live-capacity floor for gray-failure
-// quarantine: MarkDegraded excludes a node from new allocations only
+// quarantine: a Degraded mark excludes a node from new allocations only
 // while at least floor allocatable nodes remain, so correlated
 // slowness (a sick rack, a shared-switch brownout) degrades to
 // deprioritization instead of an empty pool. floor values below 1 are
@@ -188,8 +184,8 @@ func (a *Arbiter) WithQuarantine(floor int) *Arbiter {
 	}
 	a.quarFloor = floor
 	reg := a.reg
-	a.tel.quarMarks = reg.Counter("arbiter_quarantine_marked_total")
-	a.tel.quarRestores = reg.Counter("arbiter_quarantine_restored_total")
+	a.tel.marks[nodestate.Degraded] = [2]*telemetry.Counter{
+		reg.Counter("arbiter_quarantine_restored_total"), reg.Counter("arbiter_quarantine_marked_total")}
 	a.tel.ionsQuarantined = reg.Gauge("arbiter_quarantine_ions")
 	a.tel.quarFloorHeld = reg.Gauge("arbiter_quarantine_floor_held")
 	return a
@@ -213,7 +209,7 @@ func (a *Arbiter) JobStarted(app policy.Application) ([]string, error) {
 	}
 	if len(a.availablePool()) == 0 {
 		return nil, fmt.Errorf("%w: cannot start %s (pool %d, down %d, draining %d)",
-			ErrNoLiveIONs, app.ID, len(a.pool), len(a.down), len(a.draining))
+			ErrNoLiveIONs, app.ID, len(a.pool), a.countLocked(nodestate.Down), a.countLocked(nodestate.Draining))
 	}
 	a.running[app.ID] = app
 	// Intent first: if the crash lands between this append and the solve,
@@ -279,7 +275,7 @@ func (a *Arbiter) availablePool() []string {
 	quar := a.quarantinedLocked()
 	avail := make([]string, 0, len(a.pool))
 	for _, addr := range a.pool {
-		if !a.down[addr] && !a.draining[addr] && !quar[addr] {
+		if fs := a.flags[addr]; !fs.Has(nodestate.Down) && !fs.Has(nodestate.Draining) && !quar[addr] {
 			avail = append(avail, addr)
 		}
 	}
@@ -295,18 +291,19 @@ func (a *Arbiter) availablePool() []string {
 // and counting them would double-charge the floor. Caller holds the
 // lock.
 func (a *Arbiter) quarantinedLocked() map[string]bool {
-	if len(a.degraded) == 0 {
+	if a.countLocked(nodestate.Degraded) == 0 {
 		return nil
 	}
 	live := 0
 	for _, addr := range a.pool {
-		if !a.down[addr] && !a.draining[addr] {
+		if fs := a.flags[addr]; !fs.Has(nodestate.Down) && !fs.Has(nodestate.Draining) {
 			live++
 		}
 	}
-	quar := make(map[string]bool, len(a.degraded))
+	quar := map[string]bool{}
 	for _, addr := range a.pool {
-		if !a.degraded[addr] || a.down[addr] || a.draining[addr] {
+		fs := a.flags[addr]
+		if !fs.Has(nodestate.Degraded) || fs.Has(nodestate.Down) || fs.Has(nodestate.Draining) {
 			continue
 		}
 		if live-len(quar)-1 < a.quarFloor {
@@ -315,6 +312,18 @@ func (a *Arbiter) quarantinedLocked() map[string]bool {
 		quar[addr] = true
 	}
 	return quar
+}
+
+// countLocked reports how many pool members carry flag f. Caller holds
+// the lock.
+func (a *Arbiter) countLocked(f nodestate.Flag) int {
+	n := 0
+	for _, fs := range a.flags {
+		if fs.Has(f) {
+			n++
+		}
+	}
+	return n
 }
 
 func (a *Arbiter) inPool(addr string) bool {
@@ -326,27 +335,38 @@ func (a *Arbiter) inPool(addr string) bool {
 	return false
 }
 
-// Down returns the addresses currently marked down.
-func (a *Arbiter) Down() []string {
+// Has reports whether addr carries flag f (false outside the pool).
+func (a *Arbiter) Has(addr string, f nodestate.Flag) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.down))
+	return a.flags[addr].Has(f)
+}
+
+// With returns the pool members carrying flag f, in stable pool order.
+// For Degraded these are the marks, not the effective quarantine: a
+// mark the capacity floor holds back is still listed (see Quarantined).
+func (a *Arbiter) With(f nodestate.Flag) []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := []string{}
 	for _, addr := range a.pool {
-		if a.down[addr] {
+		if a.flags[addr].Has(f) {
 			out = append(out, addr)
 		}
 	}
 	return out
 }
 
-// Overloaded returns the addresses currently marked overloaded, in stable
-// pool order.
-func (a *Arbiter) Overloaded() []string {
+// Quarantined returns the addresses currently excluded from allocation
+// by the gray-failure plane, in stable pool order: the degraded marks
+// minus whatever the capacity floor held back.
+func (a *Arbiter) Quarantined() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.overloaded))
+	quar := a.quarantinedLocked()
+	out := make([]string, 0, len(quar))
 	for _, addr := range a.pool {
-		if a.overloaded[addr] {
+		if quar[addr] {
 			out = append(out, addr)
 		}
 	}
@@ -356,16 +376,17 @@ func (a *Arbiter) Overloaded() []string {
 // updatePoolGauges refreshes the live/down/overloaded/draining gauges.
 // Caller holds the lock.
 func (a *Arbiter) updatePoolGauges() {
-	a.tel.ionsDown.Set(int64(len(a.down)))
-	a.tel.ionsLive.Set(int64(len(a.pool) - len(a.down)))
-	a.tel.ionsOverload.Set(int64(len(a.overloaded)))
-	a.tel.ionsDraining.Set(int64(len(a.draining)))
+	down := a.countLocked(nodestate.Down)
+	a.tel.ionsDown.Set(int64(down))
+	a.tel.ionsLive.Set(int64(len(a.pool) - down))
+	a.tel.ionsOverload.Set(int64(a.countLocked(nodestate.Overloaded)))
+	a.tel.ionsDraining.Set(int64(a.countLocked(nodestate.Draining)))
 	if a.tel.ionsQuarantined != nil {
 		quar := a.quarantinedLocked()
 		a.tel.ionsQuarantined.Set(int64(len(quar)))
 		held := 0
-		for addr := range a.degraded {
-			if !quar[addr] && !a.down[addr] && !a.draining[addr] {
+		for addr, fs := range a.flags {
+			if fs.Has(nodestate.Degraded) && !fs.Has(nodestate.Down) && !fs.Has(nodestate.Draining) && !quar[addr] {
 				held++
 			}
 		}
@@ -395,322 +416,125 @@ func without(addrs []string, addr string) []string {
 	return out
 }
 
-// MarkDown removes addr from the live pool (a health prober observed it
-// unreachable) and re-arbitrates the surviving jobs. The allocation
-// invariant — no job is ever mapped to a down I/O node — holds on every
-// published mapping even when the policy solve fails: the down node is
-// stripped from the previous assignment first, and that degraded (but
-// safe) mapping is what gets published on the failure path. Marking an
-// already-down node is a no-op.
-func (a *Arbiter) MarkDown(addr string) error {
+// verbs says how each flag's transition reads in Set's advisory
+// errors: [f][0] for clearing, [f][1] for setting.
+var verbs = [...][2]string{
+	nodestate.Down:       {"marked up, previous mapping kept", "marked down, degraded mapping kept"},
+	nodestate.Draining:   {"drain aborted, previous mapping kept", "drain refused, mapping unchanged"},
+	nodestate.Degraded:   {"restored from quarantine, previous mapping kept", "quarantined, previous mapping kept"},
+	nodestate.Overloaded: {"recovered from overload, previous mapping kept", "marked overloaded, previous mapping kept"},
+}
+
+func idx(on bool) int {
+	if on {
+		return 1
+	}
+	return 0
+}
+
+// Set sets (on) or clears flag f on addr and re-arbitrates the running
+// jobs around the node's new state. What each flag means to arbitration:
+//
+//   - Down removes addr from the live pool. The invariant "no job maps
+//     to a down node" holds on every published mapping, even when the
+//     solve fails: addr is stripped from the assignment first, and that
+//     pruned mapping is published if the solve cannot do better. A node
+//     that goes down mid-drain has aborted the drain.
+//   - Draining keeps addr alive and serving what is in flight, but
+//     arbitration stops handing it out, so traffic migrates off under
+//     the no-shrink invariant (every job keeps its count, on other
+//     nodes). If the rest of the pool cannot absorb the move (the solve
+//     fails), the drain is rolled back and refused — the caller must
+//     not decommission. Draining a down node is refused with ErrIONDown.
+//   - Degraded quarantines a fail-slow addr from new allocations while
+//     the quarantine floor allows (see WithQuarantine); past the floor
+//     it is merely deprioritized.
+//   - Overloaded deprioritizes addr: a saturated node still completes
+//     work, so the solver prefers every other live node first and uses
+//     it only when the pool is too small to avoid it.
+//
+// Degraded and Overloaded marks on a draining node are dropped (the
+// drain is the stronger exclusion); on a down node they are recorded and
+// take effect when it rises. A transition that changes nothing is a
+// no-op. Apart from a refused drain, a solve failure is advisory: the
+// previous mapping stays published (it is still valid) and the error
+// reports the degradation. The rules live in package nodestate.
+func (a *Arbiter) Set(addr string, f nodestate.Flag, on bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.inPool(addr) {
 		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
 	}
-	if a.down[addr] {
+	was := a.flags[addr]
+	switch was.Admit(f, on) {
+	case nodestate.Ignore:
 		return nil
+	case nodestate.Refuse:
+		return fmt.Errorf("%w: cannot mark %s %s", ErrIONDown, addr, f)
 	}
-	if a.draining[addr] {
-		// The node died mid-drain: the graceful exit aborts into the hard
-		// one. Whoever was waiting for quiescence observes the node down
-		// and gives up; re-arbitration below routes around it either way.
-		delete(a.draining, addr)
-		a.tel.drainsAborted.Inc()
-	}
-	a.down[addr] = true
-	a.record(journal.Record{Kind: journal.KindMarkDown, Addr: addr})
-	a.tel.marksDown.Inc()
-	a.updatePoolGauges()
-
-	// Invariant first, policy second: strip the dead node from the
-	// current assignment before any solve runs.
-	touched := false
-	for app, addrs := range a.assign {
-		filtered := without(addrs, addr)
-		if len(filtered) != len(addrs) {
-			a.assign[app] = filtered
-			touched = true
-		}
-	}
+	// A drain journals its intent first, like JobStarted: a crash
+	// mid-migration leaves a DrainStart that recovery knows to abort.
+	pruned := a.markLocked(addr, f, on)
+	var err error
 	if len(a.running) == 0 {
-		if touched {
+		if pruned {
 			a.publish()
 		}
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		// The pruned previous assignment is still safe (nothing routes to
-		// the dead node); publish it so clients stop using the node now.
-		a.tel.keptMappings.Inc()
-		a.publish()
-		return fmt.Errorf("arbiter: %s marked down, degraded mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// MarkUp returns addr to the live pool and re-arbitrates so jobs can grow
-// back onto it. Marking a node that is not down is a no-op. If the solve
-// fails the previous mapping stays (it is still valid — the recovered
-// node simply idles until the next successful solve).
-func (a *Arbiter) MarkUp(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if !a.down[addr] {
-		return nil
-	}
-	delete(a.down, addr)
-	a.record(journal.Record{Kind: journal.KindMarkUp, Addr: addr})
-	a.tel.marksUp.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s marked up, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// MarkOverloaded records that addr is shedding load (a health prober saw
-// sustained queue depth or busy responses) and re-arbitrates so jobs drift
-// off it. Overload is softer than down: the node stays in the live pool —
-// the arbitration invariant "no job maps to a down node" does NOT extend
-// to overloaded ones, because a saturated node still completes work and
-// removing its capacity under peak load would make the overload worse.
-// The solver merely prefers every other live node first, so an overloaded
-// node keeps serving only when the pool is too small to avoid it. Marking
-// an already-overloaded node is a no-op; marks on down nodes are recorded
-// (they take effect when the node comes back up).
-func (a *Arbiter) MarkOverloaded(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if a.overloaded[addr] {
-		return nil
-	}
-	if a.draining[addr] {
-		// Drain wins: the node is already excluded from every allocation,
-		// which is a strictly stronger steer than the overload preference,
-		// and it is about to leave the pool anyway.
-		return nil
-	}
-	a.overloaded[addr] = true
-	a.record(journal.Record{Kind: journal.KindMarkOverloaded, Addr: addr})
-	a.tel.marksOverloaded.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		// The previous mapping is still valid — overloaded nodes are
-		// degraded, not gone — so keep it rather than publish nothing.
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s marked overloaded, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// MarkRecovered clears addr's overload mark and re-arbitrates so jobs can
-// spread back onto it. Marking a node that is not overloaded is a no-op.
-func (a *Arbiter) MarkRecovered(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if !a.overloaded[addr] {
-		return nil
-	}
-	delete(a.overloaded, addr)
-	a.record(journal.Record{Kind: journal.KindMarkRecovered, Addr: addr})
-	a.tel.marksRecovered.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s recovered from overload, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// MarkDegraded quarantines addr as fail-slow (the health scorer saw its
-// latency sustained far above its peers'): like a drain, the node keeps
-// serving whatever already routes to it but re-arbitration stops
-// handing it out, so traffic migrates off under the no-shrink invariant
-// — and unlike a drain it is bounded by the quarantine floor (see
-// WithQuarantine): when excluding the node would leave fewer than
-// floor allocatable nodes, it stays allocatable and is merely
-// deprioritized like an overloaded one, so correlated slowness cannot
-// empty the pool. Marking an already-degraded node is a no-op; marks
-// on down nodes are recorded (they take effect when the node rises);
-// marks on draining nodes are dropped — the drain is a strictly
-// stronger exclusion and the node is leaving anyway.
-func (a *Arbiter) MarkDegraded(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if a.degraded[addr] {
-		return nil
-	}
-	if a.draining[addr] {
-		return nil // drain wins, as with MarkOverloaded
-	}
-	a.degraded[addr] = true
-	a.record(journal.Record{Kind: journal.KindMarkDegraded, Addr: addr})
-	a.tel.quarMarks.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		// The previous mapping is still valid — a slow node is slow, not
-		// gone — so keep it rather than publish nothing.
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s quarantined, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// MarkRestored clears addr's fail-slow mark and re-arbitrates so jobs
-// can spread back onto it. Marking a node that is not degraded is a
-// no-op.
-func (a *Arbiter) MarkRestored(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if !a.degraded[addr] {
-		return nil
-	}
-	delete(a.degraded, addr)
-	a.record(journal.Record{Kind: journal.KindMarkRestored, Addr: addr})
-	a.tel.quarRestores.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s restored from quarantine, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// Degraded returns the addresses currently marked fail-slow, in stable
-// pool order — the marks, not the effective quarantine (a mark held
-// back by the capacity floor is still listed; see Quarantined).
-func (a *Arbiter) Degraded() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.degraded))
-	for _, addr := range a.pool {
-		if a.degraded[addr] {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// IsDegraded reports whether addr carries a fail-slow mark.
-func (a *Arbiter) IsDegraded(addr string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.degraded[addr]
-}
-
-// Quarantined returns the addresses currently excluded from allocation
-// by the gray-failure plane, in stable pool order: the degraded marks
-// minus whatever the capacity floor held back.
-func (a *Arbiter) Quarantined() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	quar := a.quarantinedLocked()
-	out := make([]string, 0, len(quar))
-	for _, addr := range a.pool {
-		if quar[addr] {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// Drain marks addr as leaving the pool gracefully: it stays alive and
-// keeps serving whatever is already in flight, but re-arbitration stops
-// handing it out, so traffic migrates off under the no-shrink invariant
-// (every job keeps its allocated count — on other nodes). Distinct from
-// down (the node is healthy) and from overloaded (the node is never
-// preferred, not merely deprioritized). Draining an already-draining node
-// is a no-op; draining a down node is refused with ErrIONDown. If moving
-// the assignments off addr is infeasible (the solve fails or the rest of
-// the pool cannot absorb them), the drain is rolled back and refused —
-// the caller must not decommission.
-func (a *Arbiter) Drain(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if a.draining[addr] {
-		return nil
-	}
-	if a.down[addr] {
-		return fmt.Errorf("%w: cannot drain %s", ErrIONDown, addr)
-	}
-	a.draining[addr] = true
-	// Intent first, like JobStarted: a crash mid-migration must leave a
-	// DrainStart in the journal so recovery knows to abort it.
-	a.record(journal.Record{Kind: journal.KindDrainStart, Addr: addr})
-	if len(a.running) > 0 {
-		if err := a.rearbitrate(); err != nil {
-			delete(a.draining, addr)
+	} else if err = a.rearbitrate(); err != nil {
+		err = fmt.Errorf("arbiter: %s %s: %w", addr, verbs[f][idx(on)], err)
+		if f == nodestate.Draining && on {
+			a.setFlags(addr, was)
 			a.record(journal.Record{Kind: journal.KindDrainAbort, Addr: addr})
 			a.updatePoolGauges()
-			return fmt.Errorf("arbiter: drain of %s refused, mapping unchanged: %w", addr, err)
+			return err // never counted: drains_started counts drains that went through
+		}
+		a.tel.keptMappings.Inc()
+		if f == nodestate.Down {
+			// The pruned assignment is still safe (nothing routes to the
+			// dead node); publish it so clients stop using it now.
+			a.publish()
 		}
 	}
-	a.tel.drains.Inc()
-	a.updatePoolGauges()
-	return nil
+	a.tel.marks[f][idx(on)].Inc()
+	return err
 }
 
-// AbortDrain cancels a drain in progress and returns addr to the
-// allocatable pool. Aborting a node that is not draining is a no-op (the
-// drain may already have aborted into MarkDown). If the follow-up solve
-// fails the previous mapping stays — it is still valid, the node simply
-// idles until the next successful solve.
-func (a *Arbiter) AbortDrain(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
+// markLocked applies one admitted transition without solving: it
+// updates addr's flags with the lattice's consequences (counting a
+// drain that a down mark aborts), journals the transition, and strips a
+// down node from every allocation, reporting whether that changed the
+// assignment. Caller holds the lock.
+func (a *Arbiter) markLocked(addr string, f nodestate.Flag, on bool) (pruned bool) {
+	was := a.flags[addr]
+	now := was.With(f, on)
+	for _, g := range nodestate.All {
+		if g != f && was.Has(g) && !now.Has(g) {
+			a.tel.marks[g][0].Inc()
+		}
 	}
-	if !a.draining[addr] {
-		return nil
-	}
-	delete(a.draining, addr)
-	a.record(journal.Record{Kind: journal.KindDrainAbort, Addr: addr})
-	a.tel.drainsAborted.Inc()
+	a.setFlags(addr, now)
+	a.record(journal.Record{Kind: journal.MarkKind(f, on), Addr: addr})
 	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
+	if f != nodestate.Down || !on {
+		return false
 	}
-	if err := a.rearbitrate(); err != nil {
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: drain of %s aborted, previous mapping kept: %w", addr, err)
+	for app, addrs := range a.assign {
+		if filtered := without(addrs, addr); len(filtered) != len(addrs) {
+			a.assign[app] = filtered
+			pruned = true
+		}
 	}
-	return nil
+	return pruned
+}
+
+// setFlags stores addr's flags, keeping up nodes out of the map. Caller
+// holds the lock.
+func (a *Arbiter) setFlags(addr string, fs nodestate.Flags) {
+	if fs == 0 {
+		delete(a.flags, addr)
+	} else {
+		a.flags[addr] = fs
+	}
 }
 
 // AddION grows the pool with a freshly provisioned node and re-arbitrates
@@ -741,8 +565,8 @@ func (a *Arbiter) AddION(addr string) error {
 	return nil
 }
 
-// RemoveION forgets addr entirely — pool membership, down/overloaded/
-// draining marks, everything. It is the terminal step of a drain (or the
+// RemoveION forgets addr entirely — pool membership, every flag,
+// everything. It is the terminal step of a drain (or the
 // disposal of a node that never rose) and is refused with ErrIONAssigned
 // while any job still routes to addr: remove only what arbitration can no
 // longer hand out. No re-arbitration runs — by construction nothing was
@@ -761,34 +585,11 @@ func (a *Arbiter) RemoveION(addr string) error {
 		}
 	}
 	a.pool = without(a.pool, addr)
-	delete(a.down, addr)
-	delete(a.overloaded, addr)
-	delete(a.draining, addr)
-	delete(a.degraded, addr)
+	delete(a.flags, addr)
 	a.record(journal.Record{Kind: journal.KindRemoveION, Addr: addr})
 	a.tel.ionsRemoved.Inc()
 	a.updatePoolGauges()
 	return nil
-}
-
-// Draining returns the addresses currently draining, in stable pool order.
-func (a *Arbiter) Draining() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.draining))
-	for _, addr := range a.pool {
-		if a.draining[addr] {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// IsDraining reports whether addr is draining.
-func (a *Arbiter) IsDraining(addr string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.draining[addr]
 }
 
 // Pool returns the current pool addresses (including down and draining
@@ -816,7 +617,7 @@ func (a *Arbiter) rearbitrate() error {
 	if len(avail) == 0 {
 		a.tel.solveErrors.Inc()
 		return fmt.Errorf("%w: %d of %d marked down, %d draining",
-			ErrNoLiveIONs, len(a.down), len(a.pool), len(a.draining))
+			ErrNoLiveIONs, a.countLocked(nodestate.Down), len(a.pool), a.countLocked(nodestate.Draining))
 	}
 	start := time.Now()
 	alloc, err := a.pol.Allocate(apps, len(avail))
@@ -846,7 +647,8 @@ func (a *Arbiter) rearbitrate() error {
 			if len(keep) == want {
 				break
 			}
-			if !a.down[addr] && !a.overloaded[addr] && !a.draining[addr] && !quar[addr] {
+			fs := a.flags[addr]
+			if !fs.Has(nodestate.Down) && !fs.Has(nodestate.Overloaded) && !fs.Has(nodestate.Draining) && !quar[addr] {
 				keep = append(keep, addr)
 			}
 		}
@@ -863,12 +665,12 @@ func (a *Arbiter) rearbitrate() error {
 	// nodes are not in the available pool at all.
 	free := make([]string, 0, len(avail))
 	for _, addr := range avail {
-		if !used[addr] && !a.overloaded[addr] && !a.degraded[addr] {
+		if fs := a.flags[addr]; !used[addr] && !fs.Has(nodestate.Overloaded) && !fs.Has(nodestate.Degraded) {
 			free = append(free, addr)
 		}
 	}
 	for _, addr := range avail {
-		if !used[addr] && (a.overloaded[addr] || a.degraded[addr]) {
+		if fs := a.flags[addr]; !used[addr] && (fs.Has(nodestate.Overloaded) || fs.Has(nodestate.Degraded)) {
 			free = append(free, addr)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -32,7 +33,7 @@ func TestDrainExcludesNodeKeepsAllocationCount(t *testing.T) {
 	victim := got[0]
 	want := len(got)
 
-	if err := arb.Drain(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Draining, true); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	cur := arb.Current()["ior1"]
@@ -47,10 +48,10 @@ func TestDrainExcludesNodeKeepsAllocationCount(t *testing.T) {
 			t.Fatalf("published mapping routes to the draining node: %v", bus.Current().For("ior1"))
 		}
 	}
-	if d := arb.Draining(); len(d) != 1 || d[0] != victim {
+	if d := arb.With(nodestate.Draining); len(d) != 1 || d[0] != victim {
 		t.Fatalf("Draining() = %v, want [%s]", d, victim)
 	}
-	if !arb.IsDraining(victim) {
+	if !arb.Has(victim, nodestate.Draining) {
 		t.Fatal("IsDraining(victim) = false")
 	}
 	if got := reg.Counter("arbiter_drains_started_total").Value(); got != 1 {
@@ -84,12 +85,12 @@ func TestDrainRefusedWhenInfeasible(t *testing.T) {
 	}
 	only := arb.Pool()[0]
 	before := arb.Current()
-	if err := arb.Drain(only); err == nil {
+	if err := arb.Set(only, nodestate.Draining, true); err == nil {
 		t.Fatal("draining the only node with a running job must be refused")
 	} else if !errors.Is(err, ErrNoLiveIONs) {
 		t.Fatalf("want ErrNoLiveIONs, got %v", err)
 	}
-	if arb.IsDraining(only) {
+	if arb.Has(only, nodestate.Draining) {
 		t.Fatal("refused drain left the draining mark set")
 	}
 	after := arb.Current()
@@ -103,13 +104,13 @@ func TestDrainOfDownNodeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.MarkDown(arb.Pool()[0]); err != nil {
+	if err := arb.Set(arb.Pool()[0], nodestate.Down, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.Drain(arb.Pool()[0]); !errors.Is(err, ErrIONDown) {
+	if err := arb.Set(arb.Pool()[0], nodestate.Draining, true); !errors.Is(err, ErrIONDown) {
 		t.Fatalf("want ErrIONDown, got %v", err)
 	}
-	if err := arb.Drain("nobody:1"); !errors.Is(err, ErrUnknownION) {
+	if err := arb.Set("nobody:1", nodestate.Draining, true); !errors.Is(err, ErrUnknownION) {
 		t.Fatalf("want ErrUnknownION, got %v", err)
 	}
 }
@@ -128,16 +129,16 @@ func TestMarkDownAbortsDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := arb.Pool()[0]
-	if err := arb.Drain(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Draining, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.MarkDown(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Down, true); err != nil {
 		t.Fatalf("MarkDown mid-drain: %v", err)
 	}
-	if arb.IsDraining(victim) {
+	if arb.Has(victim, nodestate.Draining) {
 		t.Fatal("down node still marked draining")
 	}
-	if down := arb.Down(); len(down) != 1 || down[0] != victim {
+	if down := arb.With(nodestate.Down); len(down) != 1 || down[0] != victim {
 		t.Fatalf("Down() = %v, want [%s]", down, victim)
 	}
 	if got := reg.Counter("arbiter_drains_aborted_total").Value(); got != 1 {
@@ -147,7 +148,7 @@ func TestMarkDownAbortsDrain(t *testing.T) {
 		t.Fatalf("arbiter_ions_draining = %d, want 0", got)
 	}
 	// The node can come back as a normal member afterwards.
-	if err := arb.MarkUp(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Down, false); err != nil {
 		t.Fatalf("MarkUp after aborted drain: %v", err)
 	}
 }
@@ -165,15 +166,15 @@ func TestMarkOverloadedOnDrainingNodeIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := arb.Pool()[0]
-	if err := arb.Drain(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Draining, true); err != nil {
 		t.Fatal(err)
 	}
 	solves := reg.Counter("arbiter_solves_total").Value()
-	if err := arb.MarkOverloaded(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Overloaded, true); err != nil {
 		t.Fatalf("MarkOverloaded on draining node: %v", err)
 	}
-	if got := len(arb.Overloaded()); got != 0 {
-		t.Fatalf("draining node became overloaded: %v", arb.Overloaded())
+	if got := len(arb.With(nodestate.Overloaded)); got != 0 {
+		t.Fatalf("draining node became overloaded: %v", arb.With(nodestate.Overloaded))
 	}
 	if got := reg.Counter("arbiter_marked_overloaded_total").Value(); got != 0 {
 		t.Fatalf("arbiter_marked_overloaded_total = %d, want 0", got)
@@ -194,20 +195,20 @@ func TestAbortDrainReturnsNodeToPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := arb.Pool()[0]
-	if err := arb.Drain(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Draining, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.AbortDrain(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Draining, false); err != nil {
 		t.Fatalf("AbortDrain: %v", err)
 	}
-	if arb.IsDraining(victim) {
+	if arb.Has(victim, nodestate.Draining) {
 		t.Fatal("node still draining after abort")
 	}
 	if got := reg.Counter("arbiter_drains_aborted_total").Value(); got != 1 {
 		t.Fatalf("arbiter_drains_aborted_total = %d, want 1", got)
 	}
 	// Aborting a non-draining node is a no-op, not an error.
-	if err := arb.AbortDrain(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Draining, false); err != nil {
 		t.Fatalf("second AbortDrain: %v", err)
 	}
 	if got := reg.Counter("arbiter_drains_aborted_total").Value(); got != 1 {
@@ -265,7 +266,7 @@ func TestRemoveIONRefusedWhileAssigned(t *testing.T) {
 		t.Fatalf("want ErrIONAssigned, got %v", err)
 	}
 	// After a drain the node routes nothing and removal succeeds.
-	if err := arb.Drain(busy); err != nil {
+	if err := arb.Set(busy, nodestate.Draining, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := arb.RemoveION(busy); err != nil {
@@ -274,7 +275,7 @@ func TestRemoveIONRefusedWhileAssigned(t *testing.T) {
 	if got := len(arb.Pool()); got != 1 {
 		t.Fatalf("pool = %d, want 1", got)
 	}
-	if arb.IsDraining(busy) {
+	if arb.Has(busy, nodestate.Draining) {
 		t.Fatal("removed node still tracked as draining")
 	}
 	if err := arb.RemoveION(busy); !errors.Is(err, ErrUnknownION) {
@@ -286,27 +287,30 @@ func TestRemoveIONRefusedWhileAssigned(t *testing.T) {
 // on repeated calls for the same address: no second re-arbitration, no
 // counter double-count, no gauge drift.
 func TestMarkIdempotencyTable(t *testing.T) {
+	set := func(f nodestate.Flag, on bool) func(*Arbiter, string) error {
+		return func(a *Arbiter, addr string) error { return a.Set(addr, f, on) }
+	}
 	cases := []struct {
 		name    string
 		prep    func(a *Arbiter, addr string) error // reach the state once
 		again   func(a *Arbiter, addr string) error // repeat the call
 		counter string
 	}{
-		{"MarkDown", (*Arbiter).MarkDown, (*Arbiter).MarkDown, "arbiter_marked_down_total"},
+		{"MarkDown", set(nodestate.Down, true), set(nodestate.Down, true), "arbiter_marked_down_total"},
 		{"MarkUp", func(a *Arbiter, addr string) error {
-			if err := a.MarkDown(addr); err != nil {
+			if err := a.Set(addr, nodestate.Down, true); err != nil {
 				return err
 			}
-			return a.MarkUp(addr)
-		}, (*Arbiter).MarkUp, "arbiter_marked_up_total"},
-		{"MarkOverloaded", (*Arbiter).MarkOverloaded, (*Arbiter).MarkOverloaded, "arbiter_marked_overloaded_total"},
+			return a.Set(addr, nodestate.Down, false)
+		}, set(nodestate.Down, false), "arbiter_marked_up_total"},
+		{"MarkOverloaded", set(nodestate.Overloaded, true), set(nodestate.Overloaded, true), "arbiter_marked_overloaded_total"},
 		{"MarkRecovered", func(a *Arbiter, addr string) error {
-			if err := a.MarkOverloaded(addr); err != nil {
+			if err := a.Set(addr, nodestate.Overloaded, true); err != nil {
 				return err
 			}
-			return a.MarkRecovered(addr)
-		}, (*Arbiter).MarkRecovered, "arbiter_overload_recovered_total"},
-		{"Drain", (*Arbiter).Drain, (*Arbiter).Drain, "arbiter_drains_started_total"},
+			return a.Set(addr, nodestate.Overloaded, false)
+		}, set(nodestate.Overloaded, false), "arbiter_overload_recovered_total"},
+		{"Drain", set(nodestate.Draining, true), set(nodestate.Draining, true), "arbiter_drains_started_total"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

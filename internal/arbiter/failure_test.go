@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
@@ -44,7 +45,7 @@ func TestMarkDownExcludesNodeAndRearbitrates(t *testing.T) {
 	dead := got[0]
 	versionBefore := bus.Current().Version
 
-	if err := arb.MarkDown(dead); err != nil {
+	if err := arb.Set(dead, nodestate.Down, true); err != nil {
 		t.Fatalf("MarkDown: %v", err)
 	}
 	if hit := assignedTo(arb.Current(), dead); len(hit) != 0 {
@@ -68,12 +69,12 @@ func TestMarkDownExcludesNodeAndRearbitrates(t *testing.T) {
 	if got := reg.Gauge("arbiter_ions_live").Value(); got != 11 {
 		t.Fatalf("arbiter_ions_live = %d, want 11", got)
 	}
-	if down := arb.Down(); len(down) != 1 || down[0] != dead {
+	if down := arb.With(nodestate.Down); len(down) != 1 || down[0] != dead {
 		t.Fatalf("Down() = %v, want [%s]", down, dead)
 	}
 
 	// Idempotent re-mark: no extra count, no error.
-	if err := arb.MarkDown(dead); err != nil {
+	if err := arb.Set(dead, nodestate.Down, true); err != nil {
 		t.Fatalf("second MarkDown: %v", err)
 	}
 	if got := reg.Counter("arbiter_marked_down_total").Value(); got != 1 {
@@ -83,10 +84,10 @@ func TestMarkDownExcludesNodeAndRearbitrates(t *testing.T) {
 
 func TestMarkDownUnknownAddr(t *testing.T) {
 	arb, _ := New(policy.MCKP{}, addrs(2), mapping.NewBus())
-	if err := arb.MarkDown("nowhere:1"); !errors.Is(err, ErrUnknownION) {
+	if err := arb.Set("nowhere:1", nodestate.Down, true); !errors.Is(err, ErrUnknownION) {
 		t.Fatalf("want ErrUnknownION, got %v", err)
 	}
-	if err := arb.MarkUp("nowhere:1"); !errors.Is(err, ErrUnknownION) {
+	if err := arb.Set("nowhere:1", nodestate.Down, false); !errors.Is(err, ErrUnknownION) {
 		t.Fatalf("MarkUp: want ErrUnknownION, got %v", err)
 	}
 }
@@ -99,22 +100,22 @@ func TestMarkUpRegrowsJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead := got[0]
-	if err := arb.MarkDown(dead); err != nil {
+	if err := arb.Set(dead, nodestate.Down, true); err != nil {
 		t.Fatal(err)
 	}
 	shrunk := len(arb.Current()["ior1"])
-	if err := arb.MarkUp(dead); err != nil {
+	if err := arb.Set(dead, nodestate.Down, false); err != nil {
 		t.Fatalf("MarkUp: %v", err)
 	}
 	regrown := len(arb.Current()["ior1"])
 	if regrown < shrunk {
 		t.Fatalf("allocation shrank on MarkUp: %d → %d", shrunk, regrown)
 	}
-	if len(arb.Down()) != 0 {
-		t.Fatalf("Down() = %v after MarkUp", arb.Down())
+	if len(arb.With(nodestate.Down)) != 0 {
+		t.Fatalf("Down() = %v after MarkUp", arb.With(nodestate.Down))
 	}
 	// MarkUp of an up node is a no-op.
-	if err := arb.MarkUp(dead); err != nil {
+	if err := arb.Set(dead, nodestate.Down, false); err != nil {
 		t.Fatalf("second MarkUp: %v", err)
 	}
 }
@@ -137,7 +138,7 @@ func TestMarkDownSolveFailureStillHoldsInvariant(t *testing.T) {
 	versionBefore := bus.Current().Version
 
 	pol.fail = true
-	if err := arb.MarkDown(dead); err == nil {
+	if err := arb.Set(dead, nodestate.Down, true); err == nil {
 		t.Fatal("solve failure must surface from MarkDown")
 	}
 	m := bus.Current()
@@ -179,7 +180,7 @@ func TestJobStartedFullyDownPoolTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range pool {
-		if err := arb.MarkDown(a); err != nil {
+		if err := arb.Set(a, nodestate.Down, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +188,7 @@ func TestJobStartedFullyDownPoolTypedError(t *testing.T) {
 		t.Fatalf("fully-down pool: want ErrNoLiveIONs, got %v", err)
 	}
 	// One node recovers: starting works again.
-	if err := arb.MarkUp(pool[0]); err != nil {
+	if err := arb.Set(pool[0], nodestate.Down, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := arb.JobStarted(app(t, "HACC", "h")); err != nil {
@@ -223,8 +224,8 @@ func TestRunningJobSurvivesFullOutageAndRecovery(t *testing.T) {
 	for _, a := range pool {
 		// The final MarkDown leaves no live node: the solve fails with
 		// ErrNoLiveIONs but the published mapping must still be safe.
-		err := arb.MarkDown(a)
-		if len(arb.Down()) == len(pool) {
+		err := arb.Set(a, nodestate.Down, true)
+		if len(arb.With(nodestate.Down)) == len(pool) {
 			if !errors.Is(err, ErrNoLiveIONs) {
 				t.Fatalf("full outage should report ErrNoLiveIONs, got %v", err)
 			}
@@ -233,7 +234,7 @@ func TestRunningJobSurvivesFullOutageAndRecovery(t *testing.T) {
 		}
 		for _, list := range arb.Current() {
 			for _, x := range list {
-				if arbContains(arb.Down(), x) {
+				if arbContains(arb.With(nodestate.Down), x) {
 					t.Fatalf("assignment routes to down node %s", x)
 				}
 			}
@@ -242,7 +243,7 @@ func TestRunningJobSurvivesFullOutageAndRecovery(t *testing.T) {
 	if n := len(bus.Current().For("j")); n != 0 {
 		t.Fatalf("fully-down pool but job still mapped to %d nodes", n)
 	}
-	if err := arb.MarkUp(pool[2]); err != nil {
+	if err := arb.Set(pool[2], nodestate.Down, false); err != nil {
 		t.Fatalf("MarkUp after outage: %v", err)
 	}
 	m := bus.Current().For("j")

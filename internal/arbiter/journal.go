@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
@@ -55,18 +56,7 @@ func (a *Arbiter) stateLocked() journal.State {
 	st.Pool = append([]string(nil), a.pool...)
 	sort.Strings(st.Pool)
 	for _, addr := range st.Pool {
-		if a.down[addr] {
-			st.Down = append(st.Down, addr)
-		}
-		if a.overloaded[addr] {
-			st.Overloaded = append(st.Overloaded, addr)
-		}
-		if a.draining[addr] {
-			st.Draining = append(st.Draining, addr)
-		}
-		if a.degraded[addr] {
-			st.Degraded = append(st.Degraded, addr)
-		}
+		st.SetFlags(addr, a.flags[addr])
 	}
 	ids := make([]string, 0, len(a.running))
 	for id := range a.running {
@@ -168,8 +158,8 @@ type RecoverConfig struct {
 // guarantee that a client still routing on a pre-crash mapping can never
 // land a write on a reassigned I/O node.
 //
-// A solve failure during the republish is advisory, exactly as on the
-// MarkDown path: the pruned pre-crash mapping is published (it is safe —
+// A solve failure during the republish is advisory, exactly as for a
+// Down mark: the pruned pre-crash mapping is published (it is safe —
 // nothing routes to a dead node) and the error reports the degradation.
 func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	if cfg.Journal == nil {
@@ -192,17 +182,8 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	defer a.mu.Unlock()
 	a.jn = cfg.Journal
 	a.epoch = st.Epoch
-	for _, addr := range st.Down {
-		a.down[addr] = true
-	}
-	for _, addr := range st.Overloaded {
-		a.overloaded[addr] = true
-	}
-	for _, addr := range st.Draining {
-		a.draining[addr] = true
-	}
-	for _, addr := range st.Degraded {
-		a.degraded[addr] = true
+	for _, addr := range a.pool {
+		a.setFlags(addr, st.Flags(addr))
 	}
 	for _, ja := range st.Running {
 		app := appFromRecord(ja)
@@ -217,37 +198,23 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	// Reconcile membership against reality: nodes that died during the
 	// blackout are marked down and pruned from every allocation before
 	// the first solve, so the invariant "no job maps to a dead node"
-	// holds on the very first recovery publish.
-	if cfg.Probe != nil {
-		for _, addr := range a.pool {
-			if a.down[addr] || cfg.Probe(addr) {
-				continue
-			}
-			if a.draining[addr] {
-				delete(a.draining, addr)
-				a.tel.drainsAborted.Inc()
-			}
-			a.down[addr] = true
-			for app, addrs := range a.assign {
-				a.assign[app] = without(addrs, addr)
-			}
-			a.tel.marksDown.Inc()
-			a.record(journal.Record{Kind: journal.KindMarkDown, Addr: addr})
+	// holds on the very first recovery publish. Then abort half-finished
+	// drains: the pre-crash arbiter was migrating traffic off these
+	// nodes, but whoever was waiting for quiescence is gone. Returning
+	// them to the allocatable pool is always safe; the scaler re-decides
+	// with live information. Both go through Set's locked core, in the
+	// pool's sorted order.
+	for _, addr := range a.pool {
+		if cfg.Probe != nil && !a.flags[addr].Has(nodestate.Down) && !cfg.Probe(addr) {
+			a.markLocked(addr, nodestate.Down, true)
+			a.tel.marks[nodestate.Down][1].Inc()
 		}
 	}
-	// Abort half-finished drains: the pre-crash arbiter was migrating
-	// traffic off these nodes, but whoever was waiting for quiescence is
-	// gone. Returning them to the allocatable pool is always safe; the
-	// scaler re-decides with live information.
-	draining := make([]string, 0, len(a.draining))
-	for addr := range a.draining {
-		draining = append(draining, addr)
-	}
-	sort.Strings(draining)
-	for _, addr := range draining {
-		delete(a.draining, addr)
-		a.tel.drainsAborted.Inc()
-		a.record(journal.Record{Kind: journal.KindDrainAbort, Addr: addr})
+	for _, addr := range a.pool {
+		if a.flags[addr].Has(nodestate.Draining) {
+			a.markLocked(addr, nodestate.Draining, false)
+			a.tel.marks[nodestate.Draining][0].Inc()
+		}
 	}
 	a.updatePoolGauges()
 	a.tel.jobsRunning.Set(int64(len(a.running)))

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -33,7 +34,7 @@ func TestMarkOverloadedSteersJobsAway(t *testing.T) {
 	hot := got[0]
 	versionBefore := bus.Current().Version
 
-	if err := arb.MarkOverloaded(hot); err != nil {
+	if err := arb.Set(hot, nodestate.Overloaded, true); err != nil {
 		t.Fatalf("MarkOverloaded: %v", err)
 	}
 	// The job moved off the hot node but kept its full allocation width.
@@ -47,10 +48,10 @@ func TestMarkOverloadedSteersJobsAway(t *testing.T) {
 		t.Fatal("MarkOverloaded must publish the re-arbitrated mapping")
 	}
 	// Unlike MarkDown, the node is still live and not down.
-	if down := arb.Down(); len(down) != 0 {
+	if down := arb.With(nodestate.Down); len(down) != 0 {
 		t.Fatalf("overload leaked into the down set: %v", down)
 	}
-	if ovl := arb.Overloaded(); len(ovl) != 1 || ovl[0] != hot {
+	if ovl := arb.With(nodestate.Overloaded); len(ovl) != 1 || ovl[0] != hot {
 		t.Fatalf("Overloaded() = %v, want [%s]", ovl, hot)
 	}
 	if got := reg.Counter("arbiter_marked_overloaded_total").Value(); got != 1 {
@@ -64,7 +65,7 @@ func TestMarkOverloadedSteersJobsAway(t *testing.T) {
 	}
 
 	// Idempotent re-mark.
-	if err := arb.MarkOverloaded(hot); err != nil {
+	if err := arb.Set(hot, nodestate.Overloaded, true); err != nil {
 		t.Fatalf("second MarkOverloaded: %v", err)
 	}
 	if got := reg.Counter("arbiter_marked_overloaded_total").Value(); got != 1 {
@@ -72,7 +73,7 @@ func TestMarkOverloadedSteersJobsAway(t *testing.T) {
 	}
 
 	// Recovery re-admits the node to the preferred set.
-	if err := arb.MarkRecovered(hot); err != nil {
+	if err := arb.Set(hot, nodestate.Overloaded, false); err != nil {
 		t.Fatalf("MarkRecovered: %v", err)
 	}
 	if got := reg.Counter("arbiter_overload_recovered_total").Value(); got != 1 {
@@ -81,7 +82,7 @@ func TestMarkOverloadedSteersJobsAway(t *testing.T) {
 	if got := reg.Gauge("arbiter_ions_overloaded").Value(); got != 0 {
 		t.Fatalf("arbiter_ions_overloaded = %d, want 0 after recovery", got)
 	}
-	if err := arb.MarkRecovered(hot); err != nil {
+	if err := arb.Set(hot, nodestate.Overloaded, false); err != nil {
 		t.Fatalf("recovering a healthy node must be a no-op: %v", err)
 	}
 }
@@ -102,7 +103,7 @@ func TestOverloadedNodeStillUsedWhenPoolIsTight(t *testing.T) {
 	}
 
 	// Both nodes are in use; marking one overloaded cannot halve the job.
-	if err := arb.MarkOverloaded(got[0]); err != nil {
+	if err := arb.Set(got[0], nodestate.Overloaded, true); err != nil {
 		t.Fatalf("MarkOverloaded: %v", err)
 	}
 	now := arb.Current()["ior1"]
@@ -129,7 +130,7 @@ func TestOverloadedNodesComeLastWhenGrowing(t *testing.T) {
 	}
 	// Mark a node overloaded before any job exists: the first arbitration
 	// must already prefer the healthy nodes.
-	if err := arb.MarkOverloaded(pool[0]); err != nil {
+	if err := arb.Set(pool[0], nodestate.Overloaded, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := arb.JobStarted(app(t, "IOR-MPI", "ior1"))
@@ -151,10 +152,10 @@ func TestMarkOverloadedUnknownAddr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.MarkOverloaded("10.0.0.99:1"); !errors.Is(err, ErrUnknownION) {
+	if err := arb.Set("10.0.0.99:1", nodestate.Overloaded, true); !errors.Is(err, ErrUnknownION) {
 		t.Fatalf("MarkOverloaded(unknown) = %v, want ErrUnknownION", err)
 	}
-	if err := arb.MarkRecovered("10.0.0.99:1"); !errors.Is(err, ErrUnknownION) {
+	if err := arb.Set("10.0.0.99:1", nodestate.Overloaded, false); !errors.Is(err, ErrUnknownION) {
 		t.Fatalf("MarkRecovered(unknown) = %v, want ErrUnknownION", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -32,7 +33,7 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 	slow := got[0]
 	versionBefore := bus.Current().Version
 
-	if err := arb.MarkDegraded(slow); err != nil {
+	if err := arb.Set(slow, nodestate.Degraded, true); err != nil {
 		t.Fatalf("MarkDegraded: %v", err)
 	}
 	// The job moved off the slow node but kept its full allocation width
@@ -47,16 +48,16 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 		t.Fatal("MarkDegraded must publish the re-arbitrated mapping")
 	}
 	// Quarantine is not down, not overloaded, not draining.
-	if down := arb.Down(); len(down) != 0 {
+	if down := arb.With(nodestate.Down); len(down) != 0 {
 		t.Fatalf("quarantine leaked into the down set: %v", down)
 	}
-	if ovl := arb.Overloaded(); len(ovl) != 0 {
+	if ovl := arb.With(nodestate.Overloaded); len(ovl) != 0 {
 		t.Fatalf("quarantine leaked into the overloaded set: %v", ovl)
 	}
-	if dr := arb.Draining(); len(dr) != 0 {
+	if dr := arb.With(nodestate.Draining); len(dr) != 0 {
 		t.Fatalf("quarantine leaked into the draining set: %v", dr)
 	}
-	if dg := arb.Degraded(); len(dg) != 1 || dg[0] != slow {
+	if dg := arb.With(nodestate.Degraded); len(dg) != 1 || dg[0] != slow {
 		t.Fatalf("Degraded() = %v, want [%s]", dg, slow)
 	}
 	if q := arb.Quarantined(); len(q) != 1 || q[0] != slow {
@@ -73,7 +74,7 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 	}
 
 	// Idempotent re-mark.
-	if err := arb.MarkDegraded(slow); err != nil {
+	if err := arb.Set(slow, nodestate.Degraded, true); err != nil {
 		t.Fatalf("second MarkDegraded: %v", err)
 	}
 	if got := reg.Counter("arbiter_quarantine_marked_total").Value(); got != 1 {
@@ -81,7 +82,7 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 	}
 
 	// Restore re-admits the node to the allocatable pool.
-	if err := arb.MarkRestored(slow); err != nil {
+	if err := arb.Set(slow, nodestate.Degraded, false); err != nil {
 		t.Fatalf("MarkRestored: %v", err)
 	}
 	if got := reg.Counter("arbiter_quarantine_restored_total").Value(); got != 1 {
@@ -90,7 +91,7 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 	if q := arb.Quarantined(); len(q) != 0 {
 		t.Fatalf("Quarantined() after restore = %v", q)
 	}
-	if err := arb.MarkRestored(slow); err != nil { // idempotent
+	if err := arb.Set(slow, nodestate.Degraded, false); err != nil { // idempotent
 		t.Fatalf("second MarkRestored: %v", err)
 	}
 	if got := reg.Counter("arbiter_quarantine_restored_total").Value(); got != 1 {
@@ -116,11 +117,11 @@ func TestQuarantineFloorHoldsCapacity(t *testing.T) {
 	}
 	width := len(arb.Current()["ior1"])
 	for _, addr := range pool {
-		if err := arb.MarkDegraded(addr); err != nil {
+		if err := arb.Set(addr, nodestate.Degraded, true); err != nil {
 			t.Fatalf("MarkDegraded(%s): %v", addr, err)
 		}
 	}
-	if dg := arb.Degraded(); len(dg) != 3 {
+	if dg := arb.With(nodestate.Degraded); len(dg) != 3 {
 		t.Fatalf("Degraded() = %v, want all 3 marks recorded", dg)
 	}
 	// Only the first node (stable pool order) is effectively quarantined.
@@ -160,50 +161,50 @@ func TestQuarantineInterplay(t *testing.T) {
 	pool := arb.Pool()
 
 	// Degrade then down: the mark persists, the down exclusion rules.
-	if err := arb.MarkDegraded(pool[0]); err != nil {
+	if err := arb.Set(pool[0], nodestate.Degraded, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.MarkDown(pool[0]); err != nil {
+	if err := arb.Set(pool[0], nodestate.Down, true); err != nil {
 		t.Fatal(err)
 	}
-	if !arb.IsDegraded(pool[0]) {
+	if !arb.Has(pool[0], nodestate.Degraded) {
 		t.Fatal("down cleared the degraded mark; it must persist")
 	}
 	if q := arb.Quarantined(); len(q) != 0 {
 		t.Fatalf("down node counted as quarantined: %v", q)
 	}
 	// It rises still degraded: quarantine resumes.
-	if err := arb.MarkUp(pool[0]); err != nil {
+	if err := arb.Set(pool[0], nodestate.Down, false); err != nil {
 		t.Fatal(err)
 	}
 	if q := arb.Quarantined(); len(q) != 1 || q[0] != pool[0] {
 		t.Fatalf("Quarantined() after rise = %v, want [%s]", q, pool[0])
 	}
-	if err := arb.MarkRestored(pool[0]); err != nil {
+	if err := arb.Set(pool[0], nodestate.Degraded, false); err != nil {
 		t.Fatal(err)
 	}
 
 	// Drain wins: a mark on a draining node is dropped.
-	if err := arb.Drain(pool[1]); err != nil {
+	if err := arb.Set(pool[1], nodestate.Draining, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.MarkDegraded(pool[1]); err != nil {
+	if err := arb.Set(pool[1], nodestate.Degraded, true); err != nil {
 		t.Fatal(err)
 	}
-	if arb.IsDegraded(pool[1]) {
+	if arb.Has(pool[1], nodestate.Degraded) {
 		t.Fatal("degraded mark stuck to a draining node; drain is stronger")
 	}
 
 	// Unknown address is refused.
-	if err := arb.MarkDegraded("nope:1"); err == nil {
+	if err := arb.Set("nope:1", nodestate.Degraded, true); err == nil {
 		t.Fatal("MarkDegraded on an unknown node must fail")
 	}
-	if err := arb.MarkRestored("nope:1"); err == nil {
+	if err := arb.Set("nope:1", nodestate.Degraded, false); err == nil {
 		t.Fatal("MarkRestored on an unknown node must fail")
 	}
 
 	// RemoveION forgets the mark entirely.
-	if err := arb.MarkDegraded(pool[2]); err != nil {
+	if err := arb.Set(pool[2], nodestate.Degraded, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := arb.RemoveION(pool[2]); err != nil {
@@ -212,7 +213,7 @@ func TestQuarantineInterplay(t *testing.T) {
 	if err := arb.AddION(pool[2]); err != nil {
 		t.Fatal(err)
 	}
-	if arb.IsDegraded(pool[2]) {
+	if arb.Has(pool[2], nodestate.Degraded) {
 		t.Fatal("degraded mark survived RemoveION + AddION")
 	}
 }
@@ -232,7 +233,7 @@ func TestQuarantineSeriesAbsentWithoutOptIn(t *testing.T) {
 	}
 	// MarkDegraded still works without the opt-in chain (default floor
 	// 1); it just stays un-instrumented.
-	if err := arb.MarkDegraded(arb.Pool()[0]); err != nil {
+	if err := arb.Set(arb.Pool()[0], nodestate.Degraded, true); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
 	"repro/internal/units"
@@ -61,10 +62,10 @@ func TestRecoverReplaysJournaledState(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := arb.Pool()
-	if err := arb.MarkDown(pool[11]); err != nil {
+	if err := arb.Set(pool[11], nodestate.Down, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.MarkOverloaded(pool[10]); err != nil {
+	if err := arb.Set(pool[10], nodestate.Overloaded, true); err != nil {
 		t.Fatal(err)
 	}
 	before := arb.Current()
@@ -81,10 +82,10 @@ func TestRecoverReplaysJournaledState(t *testing.T) {
 	if !reflect.DeepEqual(gotPool, wantPool) {
 		t.Fatalf("pool lost in recovery:\n  got  %v\n  want %v", gotPool, wantPool)
 	}
-	if got := rec.Down(); len(got) != 1 || got[0] != pool[11] {
+	if got := rec.With(nodestate.Down); len(got) != 1 || got[0] != pool[11] {
 		t.Fatalf("down marks lost: %v", got)
 	}
-	if got := rec.Overloaded(); len(got) != 1 || got[0] != pool[10] {
+	if got := rec.With(nodestate.Overloaded); len(got) != 1 || got[0] != pool[10] {
 		t.Fatalf("overload marks lost: %v", got)
 	}
 	after := rec.Current()
@@ -123,7 +124,7 @@ func TestRecoverPrunesDeadIONs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if got := rec.Down(); len(got) != 1 || got[0] != victim {
+	if got := rec.With(nodestate.Down); len(got) != 1 || got[0] != victim {
 		t.Fatalf("dead node not marked down: %v", got)
 	}
 	for job, list := range rec.Current() {
@@ -160,7 +161,7 @@ func TestRecoverAbortsDrains(t *testing.T) {
 	if victim == "" {
 		victim = arb.Pool()[0]
 	}
-	if err := arb.Drain(victim); err != nil {
+	if err := arb.Set(victim, nodestate.Draining, true); err != nil {
 		t.Fatal(err)
 	}
 	jn.Close() // crash mid-drain
@@ -169,7 +170,7 @@ func TestRecoverAbortsDrains(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if rec.IsDraining(victim) {
+	if rec.Has(victim, nodestate.Draining) {
 		t.Fatal("drain survived the crash; recovery must abort it")
 	}
 	// Ledger balance, read straight from the on-disk journal.

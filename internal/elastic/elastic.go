@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/telemetry"
 )
 
@@ -51,10 +52,9 @@ type Provisioner interface {
 // *arbiter.Arbiter).
 type Pool interface {
 	AddION(addr string) error
-	Drain(addr string) error
-	AbortDrain(addr string) error
 	RemoveION(addr string) error
-	IsDraining(addr string) bool
+	// Set with nodestate.Draining starts (on) or aborts a drain.
+	Set(addr string, f nodestate.Flag, on bool) error
 }
 
 // Health is the liveness surface the scaler reads and grows (implemented
@@ -65,7 +65,9 @@ type Pool interface {
 type Health interface {
 	Add(addr string, up bool) error
 	Remove(addr string)
-	IsUp(addr string) bool
+	// Has reports a node's debounced flags; an unknown address must
+	// read as down.
+	Has(addr string, f nodestate.Flag) bool
 	Load() map[string]int64
 	LoadAges() map[string]time.Duration
 }
@@ -382,7 +384,7 @@ func (s *Scaler) Members() []string {
 // Caller holds the lock.
 func (s *Scaler) advanceProvisioning(now time.Time) {
 	for addr, ps := range s.provisioning {
-		if s.health.IsUp(addr) {
+		if !s.health.Has(addr, nodestate.Down) {
 			// First rise achieved: the node is trusted, hand it to the
 			// arbiter. AddION's only failure modes are a duplicate (we
 			// never add twice) and an advisory solve failure that still
@@ -413,14 +415,14 @@ func (s *Scaler) advanceProvisioning(now time.Time) {
 // lock.
 func (s *Scaler) advanceDraining(now time.Time) {
 	for addr, ds := range s.draining {
-		if !s.health.IsUp(addr) {
-			// Died mid-drain. The prober's MarkDown already aborted the
-			// arbiter-side drain (AbortDrain below is a no-op then, and a
+		if s.health.Has(addr, nodestate.Down) {
+			// Died mid-drain. The prober's down event already aborted the
+			// arbiter-side drain (the abort below is a no-op then, and a
 			// consistency repair if the arbiter callback has not fired
 			// yet). The node stays a member, down — warm restart may
 			// revive it; decommissioning a corpse we still count would
 			// strand its comeback.
-			_ = s.pool.AbortDrain(addr)
+			_ = s.pool.Set(addr, nodestate.Draining, false)
 			delete(s.draining, addr)
 			s.tel.drainsAborted.Inc()
 			continue
@@ -449,7 +451,7 @@ func (s *Scaler) completeDrain(addr string) {
 	if err := s.pool.RemoveION(addr); err != nil {
 		// Still assigned — a solve raced the drain. Never yank a routed
 		// node: put it back and let a later decision try again.
-		_ = s.pool.AbortDrain(addr)
+		_ = s.pool.Set(addr, nodestate.Draining, false)
 		delete(s.draining, addr)
 		s.tel.drainsAborted.Inc()
 		return
@@ -549,7 +551,7 @@ func (s *Scaler) decide(now time.Time) {
 		}
 		drained := 0
 		for _, addr := range s.victims(depths, step) {
-			if err := s.pool.Drain(addr); err != nil {
+			if err := s.pool.Set(addr, nodestate.Draining, true); err != nil {
 				// The arbiter refused (infeasible move, node just died,
 				// …): respect it and stop — conditions that block one
 				// drain block them all this tick.

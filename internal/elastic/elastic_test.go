@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/telemetry"
 )
 
@@ -36,16 +37,17 @@ func (p *fakePool) AddION(addr string) error {
 	p.adds = append(p.adds, addr)
 	return nil
 }
-func (p *fakePool) Drain(addr string) error {
-	if p.drainErr != nil {
+func (p *fakePool) Set(addr string, f nodestate.Flag, on bool) error {
+	switch {
+	case f != nodestate.Draining:
+	case !on:
+		delete(p.draining, addr)
+		p.aborts = append(p.aborts, addr)
+	case p.drainErr != nil:
 		return p.drainErr
+	default:
+		p.draining[addr] = true
 	}
-	p.draining[addr] = true
-	return nil
-}
-func (p *fakePool) AbortDrain(addr string) error {
-	delete(p.draining, addr)
-	p.aborts = append(p.aborts, addr)
 	return nil
 }
 func (p *fakePool) RemoveION(addr string) error {
@@ -56,7 +58,6 @@ func (p *fakePool) RemoveION(addr string) error {
 	p.removes = append(p.removes, addr)
 	return nil
 }
-func (p *fakePool) IsDraining(addr string) bool { return p.draining[addr] }
 
 // fakeHealth is a hand-set liveness/load plane.
 type fakeHealth struct {
@@ -86,7 +87,9 @@ func (h *fakeHealth) Remove(addr string) {
 	delete(h.depth, addr)
 	h.removed = append(h.removed, addr)
 }
-func (h *fakeHealth) IsUp(addr string) bool { return h.up[addr] }
+func (h *fakeHealth) Has(addr string, f nodestate.Flag) bool {
+	return f == nodestate.Down && !h.up[addr]
+}
 func (h *fakeHealth) Load() map[string]int64 {
 	out := map[string]int64{}
 	for addr, up := range h.up {

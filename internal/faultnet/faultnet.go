@@ -6,7 +6,7 @@
 //
 // The injector is the chaos half of the failure-tolerance story: the rpc
 // layer's deadlines, retries and circuit breaker (internal/rpc), the
-// health prober (internal/health) and the arbiter's MarkDown/MarkUp are
+// health prober (internal/health) and the arbiter's down/up marks are
 // all exercised against these faults in livestack's chaos tests. Unlike
 // faultfs — which injects *storage* faults behind a healthy daemon —
 // faultnet makes the daemon itself unreachable, which is what an I/O-node

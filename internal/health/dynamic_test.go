@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
@@ -18,7 +19,7 @@ func TestAddStartsPessimisticAndRises(t *testing.T) {
 	srvB, addrB := pingServer(t)
 	defer srvB.Close()
 
-	col := &collector{}
+	col := &collector{flag: nodestate.Down}
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:         []string{addrA},
@@ -26,7 +27,7 @@ func TestAddStartsPessimisticAndRises(t *testing.T) {
 		Timeout:       100 * time.Millisecond,
 		FailThreshold: 2,
 		RiseThreshold: 2,
-		OnTransition:  col.add,
+		OnChange:      col.add,
 		Telemetry:     reg,
 	})
 	if err != nil {
@@ -37,7 +38,7 @@ func TestAddStartsPessimisticAndRises(t *testing.T) {
 	if err := p.Add(addrB, false); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	if p.IsUp(addrB) {
+	if !p.Has(addrB, nodestate.Down) {
 		t.Fatal("pessimistically added node reported up before any ping")
 	}
 	if got := reg.Gauge("health_ions_up").Value(); got != 1 {
@@ -45,15 +46,15 @@ func TestAddStartsPessimisticAndRises(t *testing.T) {
 	}
 
 	p.ProbeOnce() // rise 1 of 2
-	if p.IsUp(addrB) {
+	if !p.Has(addrB, nodestate.Down) {
 		t.Fatal("node rose before RiseThreshold")
 	}
 	p.ProbeOnce() // rise 2 of 2
-	if !p.IsUp(addrB) {
+	if p.Has(addrB, nodestate.Down) {
 		t.Fatal("node did not rise after RiseThreshold successful pings")
 	}
 	trs := col.all()
-	if len(trs) != 1 || trs[0].Addr != addrB || !trs[0].Up {
+	if len(trs) != 1 || trs[0].Addr != addrB || trs[0].On {
 		t.Fatalf("transitions = %v, want one up for %s", trs, addrB)
 	}
 	if got := reg.Gauge("health_ions_up").Value(); got != 2 {
@@ -84,7 +85,7 @@ func TestRemoveStopsProbingAndSettlesGauges(t *testing.T) {
 
 	p.Remove(addrB)
 	srvB.Close() // a dead removed node must not produce transitions
-	if p.IsUp(addrB) {
+	if !p.Has(addrB, nodestate.Down) {
 		t.Fatal("removed node still reported up")
 	}
 	if got := reg.Gauge("health_ions_up").Value(); got != 1 {

@@ -6,13 +6,17 @@
 // application with an empty allocation accesses the PFS directly — so an
 // I/O node that stops answering must be *detected* and *removed from the
 // arbitration pool*, not waited on. The prober is the detector half of
-// that loop: the arbiter (MarkDown/MarkUp) is the reactor, and livestack
-// wires the two together through the OnTransition callback.
+// that loop: the arbiter (Set) is the reactor, and livestack wires the
+// two together through the OnChange callback.
 //
 // Detection is threshold-debounced in both directions: FailThreshold
 // consecutive failed pings mark a node down (one lost packet is not an
 // outage), RiseThreshold consecutive successful pings mark it back up
 // (one lucky ping is not a recovery).
+//
+// Every state the prober detects is a nodestate flag — Down, Overloaded,
+// Degraded — raised and lowered by one hysteresis rule: N consecutive bad
+// sweeps set the flag, M consecutive good sweeps clear it.
 //
 // Beyond the binary planes (up/down, overloaded/recovered) the prober
 // optionally runs a latency plane for gray failures: every successful
@@ -36,38 +40,20 @@ import (
 	"time"
 
 	"repro/internal/latency"
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
 
-// Transition is one up/down state change of a probed node.
-type Transition struct {
-	// Addr is the I/O-node address whose state changed.
+// Event is one debounced state change of a probed node: Flag (Down,
+// Overloaded, or Degraded) was set (On) or cleared. The flags are
+// orthogonal signals — an overloaded node still answers pings and keeps
+// serving, a degraded one is alive and may be idle, just slow relative
+// to its peers — and the arbiter reacts to each differently.
+type Event struct {
 	Addr string
-	// Up is the new state.
-	Up bool
-}
-
-// Overload is one overloaded/recovered state change of a probed node.
-// Overload is orthogonal to liveness: an overloaded node still answers
-// pings (possibly with a busy response) and keeps serving its current
-// load — it must be *deprioritized* by the arbiter, not removed.
-type Overload struct {
-	// Addr is the I/O-node address whose state changed.
-	Addr string
-	// Overloaded is the new state.
-	Overloaded bool
-}
-
-// Degradation is one degraded/restored state change of a probed node —
-// the gray-failure signal. A degraded node is alive and may be idle;
-// it is just slow relative to its peers, so the arbiter quarantines it
-// from new allocations rather than removing or deprioritizing it.
-type Degradation struct {
-	// Addr is the I/O-node address whose state changed.
-	Addr string
-	// Degraded is the new state.
-	Degraded bool
+	Flag nodestate.Flag
+	On   bool
 }
 
 // Config parameterizes a prober.
@@ -90,9 +76,12 @@ type Config struct {
 	// RiseThreshold consecutive successful pings mark a down node back
 	// up; ≤0 selects 1.
 	RiseThreshold int
-	// OnTransition, when non-nil, is invoked synchronously from the probe
-	// goroutine for every up/down transition (e.g. arbiter.MarkDown).
-	OnTransition func(Transition)
+	// OnChange, when non-nil, is invoked synchronously from the probe
+	// goroutine for every event (e.g. arbiter.Set), outside the prober's
+	// lock. Each sweep emits its events in a fixed order — liveness,
+	// then overload, then degraded, by address within each group — so
+	// the same sweep always reaches the arbiter the same way.
+	OnChange func(Event)
 
 	// OverloadQueueDepth marks a sweep as overloaded when the daemon's
 	// reported queue depth is at least this value; ≤0 disables the
@@ -113,10 +102,6 @@ type Config struct {
 	// OverloadRecovery consecutive healthy sweeps clear the mark; ≤0
 	// selects 2.
 	OverloadRecovery int
-	// OnOverload, when non-nil, is invoked synchronously from the probe
-	// goroutine for every overloaded/recovered transition (e.g.
-	// arbiter.MarkOverloaded).
-	OnOverload func(Overload)
 
 	// SlowFactor enables the fail-slow scorer: a node whose median
 	// latency exceeds the median of its peers' medians by this factor
@@ -140,10 +125,6 @@ type Config struct {
 	// forwarding clients can feed client-observed call latencies into
 	// the same rings (livestack does). Ignored when SlowFactor ≤ 0.
 	Latency *latency.Sketch
-	// OnDegraded, when non-nil, is invoked synchronously from the probe
-	// goroutine for every degraded/restored transition (e.g.
-	// arbiter.MarkDegraded).
-	OnDegraded func(Degradation)
 
 	// WireChecksum makes probe pings carry a CRC32C trailer, matching a
 	// stack that runs with wire checksums on (daemons verify whatever
@@ -175,30 +156,37 @@ func (c Config) slowActive() bool {
 // or two pings would make the first sweep after a restart decisive.
 const slowMinSamples = 4
 
-// nodeState tracks one address's debounced liveness and overload.
+// nodeState tracks one address's debounced flags and load samples.
 type nodeState struct {
-	up    bool
-	fails int // consecutive failures while up
-	rises int // consecutive successes while down
+	flags nodestate.Flags
+	// streak counts, per flag, the consecutive sweeps whose verdict
+	// disagrees with the flag's current state.
+	streak [len(nodestate.All)]int
 
-	overloaded  bool
-	hotSweeps   int   // consecutive overloaded sweeps while healthy
-	coolSweeps  int   // consecutive healthy sweeps while overloaded
-	lastRejects int64 // cumulative reject counter from the last sweep
-	sawRejects  bool  // lastRejects holds a real sample (not the zero value)
-	lastDepth   int64 // queue depth from the last loaded sweep
+	lastRejects int64     // cumulative reject counter from the last sweep
+	sawRejects  bool      // lastRejects holds a real sample (not the zero value)
+	lastDepth   int64     // queue depth from the last loaded sweep
 	sampleAt    time.Time // when lastDepth was sampled; zero = never
-
-	degraded    bool
-	slowSweeps  int // consecutive slow sweeps while clean
-	cleanSweeps int // consecutive clean sweeps while degraded
 }
+
+func (st *nodeState) up() bool { return !st.flags.Has(nodestate.Down) }
+
+// plane is one flag's hysteresis: raise consecutive bad sweeps set it,
+// lower consecutive good sweeps clear it, each flip counted.
+type plane struct {
+	raise, lower    int
+	raised, lowered *telemetry.Counter
+}
+
+// emitOrder is the order a sweep's events leave the prober in.
+var emitOrder = [...]nodestate.Flag{nodestate.Down, nodestate.Overloaded, nodestate.Degraded}
 
 // Prober pings a dynamic set of I/O nodes and reports transitions. The
 // set starts as Config.Addrs and breathes through Add/Remove (the
 // autoscaler's hooks).
 type Prober struct {
-	cfg Config
+	cfg    Config
+	planes [len(nodestate.All)]plane // fixed at New
 
 	mu      sync.Mutex
 	clients map[string]*rpc.Client
@@ -211,12 +199,9 @@ type Prober struct {
 
 	tel struct {
 		probes, failures     *telemetry.Counter
-		downs, ups           *telemetry.Counter
-		overloads, recovers  *telemetry.Counter
-		degrades, restores   *telemetry.Counter // registered only when slowActive
 		nodesUp              *telemetry.Gauge
 		nodesOverloaded      *telemetry.Gauge
-		nodesDegraded        *telemetry.Gauge // registered only when slowActive
+		nodesDegraded        *telemetry.Gauge            // registered only when slowActive
 		queueDepth, shedRate map[string]*telemetry.Gauge // per ION
 	}
 }
@@ -275,17 +260,17 @@ func New(cfg Config) (*Prober, error) {
 	reg := cfg.Telemetry
 	p.tel.probes = reg.Counter("health_probes_total")
 	p.tel.failures = reg.Counter("health_probe_failures_total")
-	p.tel.downs = reg.Counter("health_transitions_down_total")
-	p.tel.ups = reg.Counter("health_transitions_up_total")
-	p.tel.overloads = reg.Counter("health_transitions_overloaded_total")
-	p.tel.recovers = reg.Counter("health_transitions_recovered_total")
+	p.planes[nodestate.Down] = plane{cfg.FailThreshold, cfg.RiseThreshold,
+		reg.Counter("health_transitions_down_total"), reg.Counter("health_transitions_up_total")}
+	p.planes[nodestate.Overloaded] = plane{cfg.OverloadThreshold, cfg.OverloadRecovery,
+		reg.Counter("health_transitions_overloaded_total"), reg.Counter("health_transitions_recovered_total")}
 	p.tel.nodesUp = reg.Gauge("health_ions_up")
 	p.tel.nodesOverloaded = reg.Gauge("health_ions_overloaded")
 	if cfg.slowActive() {
 		// Lazily registered: a stack without a slowness factor must not
 		// expose any health_degraded_* series (the absence test pins it).
-		p.tel.degrades = reg.Counter("health_degraded_transitions_total")
-		p.tel.restores = reg.Counter("health_degraded_recovered_total")
+		p.planes[nodestate.Degraded] = plane{cfg.SlowWindow, cfg.SlowRecovery,
+			reg.Counter("health_degraded_transitions_total"), reg.Counter("health_degraded_recovered_total")}
 		p.tel.nodesDegraded = reg.Gauge("health_degraded_ions")
 	}
 	p.tel.queueDepth = make(map[string]*telemetry.Gauge, len(cfg.Addrs))
@@ -315,10 +300,12 @@ func (p *Prober) Add(addr string, up bool) error {
 	p.clients[addr] = rpc.Dial(addr, 1).
 		WithOptions(rpc.Options{CallTimeout: p.cfg.Timeout, WireChecksum: p.cfg.WireChecksum}).
 		Instrument(p.cfg.Telemetry, nil)
-	p.state[addr] = &nodeState{up: up}
-	if up {
-		p.tel.nodesUp.Add(1)
+	st := &nodeState{}
+	if !up {
+		st.flags = st.flags.With(nodestate.Down, true)
 	}
+	p.state[addr] = st
+	p.refreshGaugesLocked()
 	if _, ok := p.tel.queueDepth[addr]; !ok {
 		reg := p.cfg.Telemetry
 		p.tel.queueDepth[addr] = reg.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", addr))
@@ -333,18 +320,9 @@ func (p *Prober) Add(addr string, up bool) error {
 func (p *Prober) Remove(addr string) {
 	p.mu.Lock()
 	cli := p.clients[addr]
-	st := p.state[addr]
 	delete(p.clients, addr)
 	delete(p.state, addr)
-	if st != nil && st.up {
-		p.tel.nodesUp.Add(-1)
-	}
-	if st != nil && st.overloaded {
-		p.tel.nodesOverloaded.Add(-1)
-	}
-	if st != nil && st.degraded {
-		p.tel.nodesDegraded.Add(-1)
-	}
+	p.refreshGaugesLocked()
 	p.mu.Unlock()
 	p.cfg.Latency.Forget(addr) // stale samples must not haunt a reused address
 	if cli != nil {
@@ -361,7 +339,7 @@ func (p *Prober) Load() map[string]int64 {
 	defer p.mu.Unlock()
 	out := make(map[string]int64, len(p.state))
 	for addr, st := range p.state {
-		if st.up {
+		if st.up() {
 			out[addr] = st.lastDepth
 		}
 	}
@@ -379,7 +357,7 @@ func (p *Prober) LoadAges() map[string]time.Duration {
 	defer p.mu.Unlock()
 	out := make(map[string]time.Duration, len(p.state))
 	for addr, st := range p.state {
-		if st.up && !st.sampleAt.IsZero() {
+		if st.up() && !st.sampleAt.IsZero() {
 			out[addr] = now.Sub(st.sampleAt)
 		}
 	}
@@ -425,7 +403,7 @@ func (p *Prober) Stop() {
 }
 
 // ProbeOnce performs one synchronous sweep over every address, applying
-// thresholds and firing OnTransition for each state change. Exported so
+// thresholds and firing OnChange for each state change. Exported so
 // tests (and callers that want probe timing under their own control) can
 // drive the prober deterministically.
 func (p *Prober) ProbeOnce() {
@@ -479,13 +457,10 @@ func (p *Prober) ProbeOnce() {
 	}
 	wg.Wait()
 
-	var (
-		fired     []Transition
-		hotFired  []Overload
-		detecting = p.cfg.overloadActive()
-	)
+	var fired [len(nodestate.All)][]Event
 	p.mu.Lock()
-	for addr, r := range results {
+	for _, addr := range sortedKeys(results) {
+		r := results[addr]
 		st := p.state[addr]
 		if st == nil {
 			continue // removed while the sweep was in flight
@@ -494,32 +469,7 @@ func (p *Prober) ProbeOnce() {
 		if !r.ok {
 			p.tel.failures.Inc()
 		}
-		switch {
-		case st.up && !r.ok:
-			st.fails++
-			if st.fails >= p.cfg.FailThreshold {
-				st.up = false
-				st.fails = 0
-				st.rises = 0
-				p.tel.downs.Inc()
-				p.tel.nodesUp.Add(-1)
-				fired = append(fired, Transition{Addr: addr, Up: false})
-			}
-		case st.up && r.ok:
-			st.fails = 0
-		case !st.up && r.ok:
-			st.rises++
-			if st.rises >= p.cfg.RiseThreshold {
-				st.up = true
-				st.fails = 0
-				st.rises = 0
-				p.tel.ups.Inc()
-				p.tel.nodesUp.Add(1)
-				fired = append(fired, Transition{Addr: addr, Up: true})
-			}
-		default: // down and still failing
-			st.rises = 0
-		}
+		p.debounce(addr, st, nodestate.Down, !r.ok, &fired)
 
 		// Load bookkeeping and overload debouncing: export the sampled
 		// depth and per-sweep shed delta unconditionally, transition
@@ -536,68 +486,80 @@ func (p *Prober) ProbeOnce() {
 			st.sawRejects = true
 			p.tel.shedRate[addr].Set(shedDelta)
 		}
-		if !detecting {
+		// Dead-looking sweeps feed the liveness thresholds, not the
+		// overload ones; they hold the overload state as-is.
+		if !p.cfg.overloadActive() || !r.ok {
 			continue
 		}
 		hot := r.busy ||
 			(r.loaded && p.cfg.OverloadQueueDepth > 0 && r.depth >= int64(p.cfg.OverloadQueueDepth)) ||
 			(r.loaded && p.cfg.OverloadShedDelta > 0 && shedDelta >= int64(p.cfg.OverloadShedDelta))
-		switch {
-		case !r.ok:
-			// Dead-looking sweeps feed the liveness thresholds, not the
-			// overload ones; hold the overload state as-is.
-		case !st.overloaded && hot:
-			st.coolSweeps = 0
-			st.hotSweeps++
-			if st.hotSweeps >= p.cfg.OverloadThreshold {
-				st.overloaded = true
-				st.hotSweeps = 0
-				p.tel.overloads.Inc()
-				p.tel.nodesOverloaded.Add(1)
-				hotFired = append(hotFired, Overload{Addr: addr, Overloaded: true})
-			}
-		case !st.overloaded:
-			st.hotSweeps = 0
-		case st.overloaded && !hot:
-			st.coolSweeps++
-			if st.coolSweeps >= p.cfg.OverloadRecovery {
-				st.overloaded = false
-				st.coolSweeps = 0
-				p.tel.recovers.Inc()
-				p.tel.nodesOverloaded.Add(-1)
-				hotFired = append(hotFired, Overload{Addr: addr, Overloaded: false})
-			}
-		default: // overloaded and still hot
-			st.coolSweeps = 0
-		}
+		p.debounce(addr, st, nodestate.Overloaded, hot, &fired)
 	}
-	var slowFired []Degradation
 	if p.cfg.slowActive() {
-		slowFired = p.scoreSlowLocked()
+		p.scoreSlowLocked(&fired)
 	}
+	p.refreshGaugesLocked()
 	p.mu.Unlock()
 
 	// Callbacks run outside the prober lock so they may query the prober
 	// (and take arbitrary downstream locks) freely.
-	if p.cfg.OnTransition != nil {
-		for _, tr := range fired {
-			p.cfg.OnTransition(tr)
-		}
-	}
-	if p.cfg.OnOverload != nil {
-		for _, ov := range hotFired {
-			p.cfg.OnOverload(ov)
-		}
-	}
-	if p.cfg.OnDegraded != nil {
-		for _, dg := range slowFired {
-			p.cfg.OnDegraded(dg)
+	if p.cfg.OnChange != nil {
+		for _, f := range emitOrder {
+			for _, ev := range fired[f] {
+				p.cfg.OnChange(ev)
+			}
 		}
 	}
 }
 
-// scoreSlowLocked runs one sweep of the peer-relative fail-slow scorer
-// and returns the transitions it fired. Caller holds p.mu.
+// debounce feeds one sweep's verdict on flag f into addr's hysteresis:
+// a verdict that disagrees with the flag's state (bad while clear, good
+// while set) extends the streak, one that agrees resets it, and a streak
+// reaching the plane's threshold flips the flag and queues the event.
+// Caller holds p.mu.
+func (p *Prober) debounce(addr string, st *nodeState, f nodestate.Flag, bad bool, fired *[len(nodestate.All)][]Event) {
+	on := st.flags.Has(f)
+	if on == bad {
+		st.streak[f] = 0
+		return
+	}
+	pl := p.planes[f]
+	need, c := pl.raise, pl.raised
+	if on {
+		need, c = pl.lower, pl.lowered
+	}
+	if st.streak[f]++; st.streak[f] < need {
+		return
+	}
+	st.streak[f] = 0
+	st.flags = st.flags.With(f, bad)
+	c.Inc()
+	fired[f] = append(fired[f], Event{Addr: addr, Flag: f, On: bad})
+}
+
+// refreshGaugesLocked recounts the up/overloaded/degraded gauges.
+// Caller holds p.mu.
+func (p *Prober) refreshGaugesLocked() {
+	var up, over, deg int64
+	for _, st := range p.state {
+		if st.up() {
+			up++
+		}
+		if st.flags.Has(nodestate.Overloaded) {
+			over++
+		}
+		if st.flags.Has(nodestate.Degraded) {
+			deg++
+		}
+	}
+	p.tel.nodesUp.Set(up)
+	p.tel.nodesOverloaded.Set(over)
+	p.tel.nodesDegraded.Set(deg)
+}
+
+// scoreSlowLocked runs one sweep of the peer-relative fail-slow scorer,
+// queueing the events it fires into fired. Caller holds p.mu.
 //
 // A node is slow on a sweep when its median sketch latency exceeds the
 // median of its peers' medians × SlowFactor (and the SlowMinLatency
@@ -607,25 +569,21 @@ func (p *Prober) ProbeOnce() {
 // off its peers stands out within a window regardless of the absolute
 // numbers. Sweep-count debouncing (not wall time) keeps the state
 // machine deterministic under test-driven ProbeOnce calls.
-func (p *Prober) scoreSlowLocked() []Degradation {
+func (p *Prober) scoreSlowLocked(fired *[len(nodestate.All)][]Event) {
 	// Median latency of every up node with enough samples to judge.
 	meds := make(map[string]time.Duration, len(p.state))
 	for addr, st := range p.state {
-		if !st.up || p.cfg.Latency.Samples(addr) < slowMinSamples {
+		if !st.up() || p.cfg.Latency.Samples(addr) < slowMinSamples {
 			continue
 		}
 		if m, ok := p.cfg.Latency.Median(addr); ok {
 			meds[addr] = m
 		}
 	}
-	var fired []Degradation
-	for addr, st := range p.state {
-		med, scored := meds[addr]
-		if !st.up || !scored {
-			// Down or unsampled nodes hold their degraded state as-is;
-			// the liveness plane owns them until they answer again.
-			continue
-		}
+	// Down or unsampled nodes hold their degraded state as-is; the
+	// liveness plane owns them until they answer again.
+	for _, addr := range sortedKeys(meds) {
+		med := meds[addr]
 		// Median of the peers' medians, the node under judgment
 		// excluded so a very slow node cannot raise its own bar.
 		peers := make([]time.Duration, 0, len(meds)-1)
@@ -641,94 +599,38 @@ func (p *Prober) scoreSlowLocked() []Degradation {
 		peerMed := peers[len(peers)/2]
 		slow := med >= p.cfg.SlowMinLatency &&
 			float64(med) > float64(peerMed)*p.cfg.SlowFactor
-		switch {
-		case !st.degraded && slow:
-			st.cleanSweeps = 0
-			st.slowSweeps++
-			if st.slowSweeps >= p.cfg.SlowWindow {
-				st.degraded = true
-				st.slowSweeps = 0
-				p.tel.degrades.Inc()
-				p.tel.nodesDegraded.Add(1)
-				fired = append(fired, Degradation{Addr: addr, Degraded: true})
-			}
-		case !st.degraded:
-			st.slowSweeps = 0
-		case st.degraded && !slow:
-			st.cleanSweeps++
-			if st.cleanSweeps >= p.cfg.SlowRecovery {
-				st.degraded = false
-				st.cleanSweeps = 0
-				p.tel.restores.Inc()
-				p.tel.nodesDegraded.Add(-1)
-				fired = append(fired, Degradation{Addr: addr, Degraded: false})
-			}
-		default: // degraded and still slow
-			st.cleanSweeps = 0
-		}
+		p.debounce(addr, p.state[addr], nodestate.Degraded, slow, fired)
 	}
-	return fired
 }
 
-// IsUp reports the debounced state of addr (false for unknown addresses).
-func (p *Prober) IsUp(addr string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.state[addr]
-	return ok && st.up
-}
-
-// IsOverloaded reports the debounced overload state of addr (false for
-// unknown addresses).
-func (p *Prober) IsOverloaded(addr string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.state[addr]
-	return ok && st.overloaded
-}
-
-// Overloaded returns the addresses currently marked overloaded.
-func (p *Prober) Overloaded() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for addr, st := range p.state {
-		if st.overloaded {
-			out = append(out, addr)
-		}
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
+	sort.Strings(out)
 	return out
 }
 
-// IsDegraded reports the debounced fail-slow state of addr (false for
-// unknown addresses, and always false when no SlowFactor is set).
-func (p *Prober) IsDegraded(addr string) bool {
+// Has reports whether addr carries flag f. An address the prober does
+// not know has never answered a ping: it is down, and nothing else.
+func (p *Prober) Has(addr string, f nodestate.Flag) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st, ok := p.state[addr]
-	return ok && st.degraded
-}
-
-// Degraded returns the addresses currently marked degraded.
-func (p *Prober) Degraded() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for addr, st := range p.state {
-		if st.degraded {
-			out = append(out, addr)
-		}
+	if !ok {
+		return f == nodestate.Down
 	}
-	return out
+	return st.flags.Has(f)
 }
 
-// Down returns the addresses currently marked down.
-func (p *Prober) Down() []string {
+// With returns the probed addresses carrying flag f, sorted.
+func (p *Prober) With(f nodestate.Flag) []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []string
-	for addr, st := range p.state {
-		if !st.up {
+	for _, addr := range sortedKeys(p.state) {
+		if p.state[addr].flags.Has(f) {
 			out = append(out, addr)
 		}
 	}

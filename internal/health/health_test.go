@@ -1,10 +1,13 @@
 package health
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
@@ -21,22 +24,26 @@ func pingServer(t *testing.T) (*rpc.Server, string) {
 	return srv, addr
 }
 
-// collector records transitions thread-safely.
+// collector records one flag's events thread-safely.
 type collector struct {
-	mu  sync.Mutex
-	trs []Transition
+	flag nodestate.Flag
+	mu   sync.Mutex
+	evs  []Event
 }
 
-func (c *collector) add(tr Transition) {
+func (c *collector) add(e Event) {
+	if e.Flag != c.flag {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.trs = append(c.trs, tr)
+	c.evs = append(c.evs, e)
 }
 
-func (c *collector) all() []Transition {
+func (c *collector) all() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Transition(nil), c.trs...)
+	return append([]Event(nil), c.evs...)
 }
 
 func TestProbeDetectsDownAndRecovery(t *testing.T) {
@@ -44,7 +51,7 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	srvB, addrB := pingServer(t)
 	defer srvB.Close()
 
-	col := &collector{}
+	col := &collector{flag: nodestate.Down}
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:         []string{addrA, addrB},
@@ -52,7 +59,7 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 		Timeout:       100 * time.Millisecond,
 		FailThreshold: 2,
 		RiseThreshold: 2,
-		OnTransition:  col.add,
+		OnChange:      col.add,
 		Telemetry:     reg,
 	})
 	if err != nil {
@@ -61,7 +68,7 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	defer p.Stop()
 
 	p.ProbeOnce()
-	if !p.IsUp(addrA) || !p.IsUp(addrB) {
+	if p.Has(addrA, nodestate.Down) || p.Has(addrB, nodestate.Down) {
 		t.Fatal("both nodes should be up")
 	}
 	if len(col.all()) != 0 {
@@ -70,15 +77,15 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 
 	srvA.Close()
 	p.ProbeOnce() // failure 1 of 2: debounced, still up
-	if !p.IsUp(addrA) {
+	if p.Has(addrA, nodestate.Down) {
 		t.Fatal("one failed ping must not mark a node down (FailThreshold=2)")
 	}
 	p.ProbeOnce() // failure 2 of 2: down
-	if p.IsUp(addrA) {
+	if !p.Has(addrA, nodestate.Down) {
 		t.Fatal("node should be down after FailThreshold failures")
 	}
 	trs := col.all()
-	if len(trs) != 1 || trs[0].Up || trs[0].Addr != addrA {
+	if len(trs) != 1 || !trs[0].On || trs[0].Addr != addrA {
 		t.Fatalf("want one down transition for %s, got %v", addrA, trs)
 	}
 	if got := reg.Counter("health_transitions_down_total").Value(); got != 1 {
@@ -87,7 +94,7 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	if got := reg.Gauge("health_ions_up").Value(); got != 1 {
 		t.Fatalf("health_ions_up = %d, want 1", got)
 	}
-	if down := p.Down(); len(down) != 1 || down[0] != addrA {
+	if down := p.With(nodestate.Down); len(down) != 1 || down[0] != addrA {
 		t.Fatalf("Down() = %v", down)
 	}
 
@@ -100,15 +107,15 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	}
 	defer srvA2.Close()
 	p.ProbeOnce()
-	if p.IsUp(addrA) {
+	if !p.Has(addrA, nodestate.Down) {
 		t.Fatal("one good ping must not mark a node up (RiseThreshold=2)")
 	}
 	p.ProbeOnce()
-	if !p.IsUp(addrA) {
+	if p.Has(addrA, nodestate.Down) {
 		t.Fatal("node should be back up after RiseThreshold successes")
 	}
 	trs = col.all()
-	if len(trs) != 2 || !trs[1].Up {
+	if len(trs) != 2 || trs[1].On {
 		t.Fatalf("want a final up transition, got %v", trs)
 	}
 	if got := reg.Counter("health_transitions_up_total").Value(); got != 1 {
@@ -171,5 +178,51 @@ func TestStopWithoutStart(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Stop without Start hung")
+	}
+}
+
+// TestProbeEventOrderIsDeterministic: when several nodes change in one
+// sweep, the arbiter must see them in the same order every run — each
+// event triggers its own re-solve and publish, so a random order would
+// make the sequence of published mappings random too. Three nodes fail
+// and a fourth overloads in one sweep: liveness events come first, by
+// address, then the overload event.
+func TestProbeEventOrderIsDeterministic(t *testing.T) {
+	var dead []string
+	for i := 0; i < 3; i++ {
+		srv, addr := pingServer(t)
+		srv.Close() // refuses connections from here on
+		dead = append(dead, addr)
+	}
+	ls := &loadServer{}
+	ls.depth.Store(100)
+	_, hot := ls.start(t)
+	sorted := append([]string(nil), dead...)
+	sort.Strings(sorted)
+	var want []Event
+	for _, addr := range sorted {
+		want = append(want, Event{Addr: addr, Flag: nodestate.Down, On: true})
+	}
+	want = append(want, Event{Addr: hot, Flag: nodestate.Overloaded, On: true})
+
+	for run := 0; run < 50; run++ {
+		var got []Event
+		p, err := New(Config{
+			Addrs:              append([]string{hot}, dead...),
+			Interval:           time.Second, // driven manually
+			Timeout:            100 * time.Millisecond,
+			FailThreshold:      1,
+			OverloadQueueDepth: 10,
+			OverloadThreshold:  1,
+			OnChange:           func(e Event) { got = append(got, e) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.ProbeOnce()
+		p.Stop()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: events\n  %v\nwant\n  %v", run, got, want)
+		}
 	}
 }

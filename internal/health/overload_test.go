@@ -8,11 +8,11 @@ package health
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
@@ -41,28 +41,10 @@ func (l *loadServer) start(t *testing.T) (*rpc.Server, string) {
 	return srv, addr
 }
 
-// overloadCollector records overload transitions thread-safely.
-type overloadCollector struct {
-	mu  sync.Mutex
-	ovs []Overload
-}
-
-func (c *overloadCollector) add(ov Overload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ovs = append(c.ovs, ov)
-}
-
-func (c *overloadCollector) all() []Overload {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Overload(nil), c.ovs...)
-}
-
 func TestOverloadDetectionByQueueDepth(t *testing.T) {
 	ls := &loadServer{}
 	_, addr := ls.start(t)
-	col := &overloadCollector{}
+	col := &collector{flag: nodestate.Overloaded}
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:              []string{addr},
@@ -71,7 +53,7 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 		OverloadQueueDepth: 10,
 		OverloadThreshold:  2,
 		OverloadRecovery:   2,
-		OnOverload:         col.add,
+		OnChange:           col.add,
 		Telemetry:          reg,
 	})
 	if err != nil {
@@ -83,7 +65,7 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 	ls.depth.Store(3)
 	p.ProbeOnce()
 	p.ProbeOnce()
-	if p.IsOverloaded(addr) || len(col.all()) != 0 {
+	if p.Has(addr, nodestate.Overloaded) || len(col.all()) != 0 {
 		t.Fatal("healthy node misread as overloaded")
 	}
 	if got := reg.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", addr)).Value(); got != 3 {
@@ -93,14 +75,14 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 	// One hot sweep is not enough (debounce), two are.
 	ls.depth.Store(25)
 	p.ProbeOnce()
-	if p.IsOverloaded(addr) {
+	if p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("one hot sweep must not mark overload")
 	}
 	p.ProbeOnce()
-	if !p.IsOverloaded(addr) {
+	if !p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("two hot sweeps should mark overload")
 	}
-	if ovs := col.all(); len(ovs) != 1 || !ovs[0].Overloaded || ovs[0].Addr != addr {
+	if ovs := col.all(); len(ovs) != 1 || !ovs[0].On || ovs[0].Addr != addr {
 		t.Fatalf("unexpected overload transitions: %+v", ovs)
 	}
 	if got := reg.Counter("health_transitions_overloaded_total").Value(); got != 1 {
@@ -109,25 +91,25 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 	if got := reg.Gauge("health_ions_overloaded").Value(); got != 1 {
 		t.Fatalf("health_ions_overloaded = %d, want 1", got)
 	}
-	if ovl := p.Overloaded(); len(ovl) != 1 || ovl[0] != addr {
+	if ovl := p.With(nodestate.Overloaded); len(ovl) != 1 || ovl[0] != addr {
 		t.Fatalf("Overloaded() = %v", ovl)
 	}
 	// Overload is not down: liveness is untouched.
-	if !p.IsUp(addr) {
+	if p.Has(addr, nodestate.Down) {
 		t.Fatal("overloaded node must remain up")
 	}
 
 	// Recovery debounces the same way.
 	ls.depth.Store(2)
 	p.ProbeOnce()
-	if !p.IsOverloaded(addr) {
+	if !p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("one cool sweep must not clear overload")
 	}
 	p.ProbeOnce()
-	if p.IsOverloaded(addr) {
+	if p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("two cool sweeps should clear overload")
 	}
-	if ovs := col.all(); len(ovs) != 2 || ovs[1].Overloaded {
+	if ovs := col.all(); len(ovs) != 2 || ovs[1].On {
 		t.Fatalf("recovery transition missing: %+v", ovs)
 	}
 	if got := reg.Counter("health_transitions_recovered_total").Value(); got != 1 {
@@ -158,24 +140,24 @@ func TestOverloadDetectionByShedDelta(t *testing.T) {
 	// no delta yet must not trigger (the counter is cumulative, not a rate).
 	ls.rejects.Store(1000)
 	p.ProbeOnce()
-	if p.IsOverloaded(addr) {
+	if p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("baseline sweep has no delta; must not mark overload")
 	}
 	// +3 rejects: below the delta threshold.
 	ls.rejects.Store(1003)
 	p.ProbeOnce()
-	if p.IsOverloaded(addr) {
+	if p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("delta 3 < 5 must not mark overload")
 	}
 	// +7 rejects: above it.
 	ls.rejects.Store(1010)
 	p.ProbeOnce()
-	if !p.IsOverloaded(addr) {
+	if !p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("delta 7 ≥ 5 should mark overload")
 	}
 	// Flat counter: recovery.
 	p.ProbeOnce()
-	if p.IsOverloaded(addr) {
+	if p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("flat reject counter should clear overload")
 	}
 }
@@ -207,22 +189,22 @@ func TestBusyPingIsAliveAndOverloaded(t *testing.T) {
 	for i := 0; i < 4; i++ { // well past FailThreshold
 		p.ProbeOnce()
 	}
-	if !p.IsUp(addr) {
+	if p.Has(addr, nodestate.Down) {
 		t.Fatal("busy pings misclassified the node as down")
 	}
 	if got := reg.Counter("health_probe_failures_total").Value(); got != 0 {
 		t.Fatalf("busy pings counted as probe failures: %d", got)
 	}
-	if !p.IsOverloaded(addr) {
+	if !p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("shed pings should mark the node overloaded")
 	}
 
 	ls.shedding.Store(false)
 	p.ProbeOnce()
-	if p.IsOverloaded(addr) {
+	if p.Has(addr, nodestate.Overloaded) {
 		t.Fatal("normal pings should clear busy-driven overload")
 	}
-	if !p.IsUp(addr) {
+	if p.Has(addr, nodestate.Down) {
 		t.Fatal("node should remain up throughout")
 	}
 }
@@ -247,10 +229,10 @@ func TestOverloadInactiveWithoutThresholds(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.ProbeOnce()
 	}
-	if !p.IsUp(addr) {
+	if p.Has(addr, nodestate.Down) {
 		t.Fatal("busy ping misread as down even with detection off")
 	}
-	if p.IsOverloaded(addr) || len(p.Overloaded()) != 0 {
+	if p.Has(addr, nodestate.Overloaded) || len(p.With(nodestate.Overloaded)) != 0 {
 		t.Fatal("overload state tracked despite no signal being configured")
 	}
 }

@@ -31,6 +31,15 @@ func FuzzJournalReplay(f *testing.F) {
 		Record{LSN: 2, Kind: KindJobStarted, App: &App{ID: "a", Curve: []CurvePoint{{IONs: 1, MBps: 10}}}},
 		Record{LSN: 3, Kind: KindPublish, Epoch: 1, Assign: map[string][]string{"a": {"ion-0"}}},
 		Record{LSN: 4, Kind: KindDrainStart, Addr: "ion-0"},
+		Record{LSN: 5, Kind: KindAddION, Addr: "ion-1"},
+		Record{LSN: 6, Kind: KindMarkOverloaded, Addr: "ion-1"},
+		Record{LSN: 7, Kind: KindMarkDegraded, Addr: "ion-1"},
+		Record{LSN: 8, Kind: KindMarkDown, Addr: "ion-0"}, // aborts the drain
+		Record{LSN: 9, Kind: KindMarkRecovered, Addr: "ion-1"},
+		Record{LSN: 10, Kind: KindMarkRestored, Addr: "ion-1"},
+		Record{LSN: 11, Kind: KindMarkUp, Addr: "ion-0"},
+		Record{LSN: 12, Kind: KindMarkDegraded, Addr: "ion-0"},
+		Record{LSN: 13, Kind: KindRemoveION, Addr: "ion-0"},
 	)
 	f.Add(whole)
 	f.Add(whole[:len(whole)-1]) // torn tail

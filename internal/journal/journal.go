@@ -38,6 +38,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/nodestate"
 	"repro/internal/telemetry"
 )
 
@@ -83,6 +84,35 @@ var kindNames = map[Kind]string{
 	KindRemoveION:      "remove-ion",
 	KindMarkDegraded:   "mark-degraded",
 	KindMarkRestored:   "mark-restored",
+}
+
+// markKinds maps each node-state flag to the record kinds that clear
+// ([0]) and set ([1]) it.
+var markKinds = [...][2]Kind{
+	nodestate.Down:       {KindMarkUp, KindMarkDown},
+	nodestate.Draining:   {KindDrainAbort, KindDrainStart},
+	nodestate.Degraded:   {KindMarkRestored, KindMarkDegraded},
+	nodestate.Overloaded: {KindMarkRecovered, KindMarkOverloaded},
+}
+
+// MarkKind returns the record kind that journals setting (on) or
+// clearing f.
+func MarkKind(f nodestate.Flag, on bool) Kind {
+	if on {
+		return markKinds[f][1]
+	}
+	return markKinds[f][0]
+}
+
+// markOf is the inverse of MarkKind; ok is false for kinds that carry
+// no node-state transition.
+func markOf(k Kind) (f nodestate.Flag, on, ok bool) {
+	for _, f := range nodestate.All {
+		if markKinds[f][0] == k || markKinds[f][1] == k {
+			return f, markKinds[f][1] == k, true
+		}
+	}
+	return 0, false, false
 }
 
 func (k Kind) String() string {
@@ -235,34 +265,58 @@ func (s *State) Apply(r Record) {
 		for k, v := range r.Assign {
 			s.Assign[k] = append([]string(nil), v...)
 		}
-	case KindMarkDown:
-		s.Down = addAddr(s.Down, r.Addr)
-		s.Draining = dropAddr(s.Draining, r.Addr) // a dying drain is an aborted drain
-		for job, addrs := range s.Assign {
-			s.Assign[job] = dropAddr(addrs, r.Addr)
-		}
-	case KindMarkUp:
-		s.Down = dropAddr(s.Down, r.Addr)
-	case KindMarkOverloaded:
-		s.Overloaded = addAddr(s.Overloaded, r.Addr)
-	case KindMarkRecovered:
-		s.Overloaded = dropAddr(s.Overloaded, r.Addr)
-	case KindDrainStart:
-		s.Draining = addAddr(s.Draining, r.Addr)
-	case KindDrainAbort:
-		s.Draining = dropAddr(s.Draining, r.Addr)
 	case KindAddION:
 		s.Pool = addAddr(s.Pool, r.Addr)
 	case KindRemoveION:
 		s.Pool = dropAddr(s.Pool, r.Addr)
-		s.Down = dropAddr(s.Down, r.Addr)
-		s.Overloaded = dropAddr(s.Overloaded, r.Addr)
-		s.Draining = dropAddr(s.Draining, r.Addr)
-		s.Degraded = dropAddr(s.Degraded, r.Addr)
-	case KindMarkDegraded:
-		s.Degraded = addAddr(s.Degraded, r.Addr)
-	case KindMarkRestored:
-		s.Degraded = dropAddr(s.Degraded, r.Addr)
+		s.SetFlags(r.Addr, 0)
+	default:
+		// A recorded mark is one the arbiter applied, so only the
+		// lattice's consequences are folded here, never its guards.
+		if f, on, ok := markOf(r.Kind); ok {
+			s.SetFlags(r.Addr, s.Flags(r.Addr).With(f, on))
+			if f == nodestate.Down && on {
+				for job, addrs := range s.Assign {
+					s.Assign[job] = dropAddr(addrs, r.Addr)
+				}
+			}
+		}
+	}
+}
+
+// marks returns the membership set that records flag f.
+func (s *State) marks(f nodestate.Flag) *[]string {
+	switch f {
+	case nodestate.Down:
+		return &s.Down
+	case nodestate.Draining:
+		return &s.Draining
+	case nodestate.Degraded:
+		return &s.Degraded
+	default:
+		return &s.Overloaded
+	}
+}
+
+// Flags returns the flags the state records for addr.
+func (s *State) Flags(addr string) nodestate.Flags {
+	var fs nodestate.Flags
+	for _, f := range nodestate.All {
+		if Has(*s.marks(f), addr) {
+			fs = fs.With(f, true)
+		}
+	}
+	return fs
+}
+
+// SetFlags records exactly fs for addr in the membership sets.
+func (s *State) SetFlags(addr string, fs nodestate.Flags) {
+	for _, f := range nodestate.All {
+		if fs.Has(f) {
+			*s.marks(f) = addAddr(*s.marks(f), addr)
+		} else {
+			*s.marks(f) = dropAddr(*s.marks(f), addr)
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/fwd"
 	"repro/internal/journal"
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
@@ -223,8 +224,8 @@ func TestBlackoutWritesSurviveControlPlaneCrash(t *testing.T) {
 		}
 	}
 	if killedDuringBlackout != "" {
-		if !contains(st.Arbiter.Down(), killedDuringBlackout) {
-			t.Fatalf("node killed during the blackout not marked down on recovery: down=%v", st.Arbiter.Down())
+		if !contains(st.Arbiter.With(nodestate.Down), killedDuringBlackout) {
+			t.Fatalf("node killed during the blackout not marked down on recovery: down=%v", st.Arbiter.With(nodestate.Down))
 		}
 		if contains(st.Arbiter.Current()["bo0"], killedDuringBlackout) {
 			t.Fatal("recovered mapping still routes to the node that died during the blackout")
@@ -367,7 +368,7 @@ func TestBlackoutMidDrainMidScaleRecovery(t *testing.T) {
 	if victim == "" {
 		victim = st.Arbiter.Pool()[0]
 	}
-	if err := st.Arbiter.Drain(victim); err != nil {
+	if err := st.Arbiter.Set(victim, nodestate.Draining, true); err != nil {
 		t.Fatal(err)
 	}
 	// The half-up node: provisioned into the stack, never admitted to the
@@ -385,7 +386,7 @@ func TestBlackoutMidDrainMidScaleRecovery(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 
-	if st.Arbiter.IsDraining(victim) {
+	if st.Arbiter.Has(victim, nodestate.Draining) {
 		t.Fatal("drain survived the blackout; recovery must abort it")
 	}
 	if !contains(st.Arbiter.Pool(), victim) {

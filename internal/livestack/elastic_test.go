@@ -37,6 +37,7 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/fwd"
 	"repro/internal/ion"
+	"repro/internal/nodestate"
 	"repro/internal/pfs"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
@@ -130,7 +131,7 @@ func waitGauge(t *testing.T, st *Stack, name string, want int64, timeout time.Du
 				fmt.Fprintf(&dump, "  %s = %d\n", s, reg.Counter(s).Value())
 			}
 			fmt.Fprintf(&dump, "  arbiter pool = %v\n", st.Arbiter.Pool())
-			fmt.Fprintf(&dump, "  arbiter draining = %v\n", st.Arbiter.Draining())
+			fmt.Fprintf(&dump, "  arbiter draining = %v\n", st.Arbiter.With(nodestate.Draining))
 			fmt.Fprintf(&dump, "  scaler members = %v\n", st.Scaler.Members())
 			fmt.Fprintf(&dump, "  health load = %v\n", st.Health.Load())
 			t.Fatalf("%s: %s = %d, want %d (waited %v)\ncapacity plane at timeout:\n%s",
@@ -320,7 +321,7 @@ func TestElasticPoolBreathesUnderChaos(t *testing.T) {
 		vDeadline := time.Now().Add(20 * time.Second)
 		for victim == "" && time.Now().Before(vDeadline) {
 			if reg.Counter("elastic_drains_started_total").Value() > base {
-				for _, a := range st.Arbiter.Draining() {
+				for _, a := range st.Arbiter.With(nodestate.Draining) {
 					if !killed[a] {
 						victim = a
 						break
@@ -358,7 +359,7 @@ func TestElasticPoolBreathesUnderChaos(t *testing.T) {
 		// after the prober marks it down, and a restart is refused while
 		// the drain is still in flight.
 		rDeadline := time.Now().Add(5 * time.Second)
-		for st.Arbiter.IsDraining(addr) && time.Now().Before(rDeadline) {
+		for st.Arbiter.Has(addr, nodestate.Draining) && time.Now().Before(rDeadline) {
 			time.Sleep(time.Millisecond)
 		}
 		if !contains(st.Scaler.Members(), addr) {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/latency"
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/pfs"
 	"repro/internal/policy"
 	"repro/internal/qos"
@@ -69,8 +70,8 @@ type Config struct {
 	RPC rpc.Options
 
 	// HealthInterval, when >0, runs a heartbeat prober over the daemons
-	// and feeds up/down transitions into the arbiter (MarkDown/MarkUp),
-	// closing the detect→re-arbitrate loop.
+	// and feeds up/down events into the arbiter (Set with
+	// nodestate.Down), closing the detect→re-arbitrate loop.
 	HealthInterval time.Duration
 	// HealthTimeout is the per-ping deadline; ≤0 lets the prober derive
 	// it from the interval.
@@ -84,8 +85,8 @@ type Config struct {
 	// health prober: a node whose probe-RTT median exceeds the median of
 	// its peers' medians × SlowFactor for SlowWindow consecutive sweeps
 	// is marked degraded, and the arbiter quarantines it — excluded from
-	// new allocations while it stays in the pool (MarkDegraded), restored
-	// after SlowRecovery clean sweeps (MarkRestored). Requires
+	// new allocations while it stays in the pool (nodestate.Degraded),
+	// restored after SlowRecovery clean sweeps. Requires
 	// HealthInterval > 0. ≤0 keeps detection off, behavior byte for byte.
 	SlowFactor float64
 	// SlowWindow / SlowRecovery debounce degraded transitions; ≤0 selects
@@ -141,7 +142,7 @@ type Config struct {
 	// OverloadQueueDepth / OverloadShedDelta / OverloadThreshold /
 	// OverloadRecovery configure the prober's overload detection (see
 	// health.Config); detected transitions feed the arbiter
-	// (MarkOverloaded/MarkRecovered) so load is steered away from
+	// (nodestate.Overloaded) so load is steered away from
 	// saturated I/O nodes without removing them from the pool. Overload
 	// detection requires HealthInterval > 0 and at least one of the two
 	// signal thresholds.
@@ -209,7 +210,7 @@ type Stack struct {
 	Addrs   []string
 
 	// Health is the heartbeat prober (nil unless Config.HealthInterval
-	// was set). Its transitions drive Arbiter.MarkDown/MarkUp.
+	// was set). Its events drive Arbiter.Set.
 	Health *health.Prober
 
 	// Scaler is the pool autoscaler (nil unless Config.Elastic was set).
@@ -372,35 +373,10 @@ func (s *Stack) startHealth(arb *arbiter.Arbiter, addrs []string) error {
 		Latency:            s.latSketch,
 		WireChecksum:       s.cfg.WireChecksum,
 		Telemetry:          s.Telemetry,
-		OnTransition: func(tr health.Transition) {
-			// MarkDown/MarkUp errors are advisory here: even when a
-			// re-solve fails, the arbiter has already published a
-			// mapping that excludes down nodes.
-			if tr.Up {
-				arb.MarkUp(tr.Addr)
-			} else {
-				arb.MarkDown(tr.Addr)
-			}
-		},
-		OnOverload: func(ov health.Overload) {
-			// Errors are advisory for the same reason: an overloaded
-			// node is still valid to route to, just undesirable.
-			if ov.Overloaded {
-				arb.MarkOverloaded(ov.Addr)
-			} else {
-				arb.MarkRecovered(ov.Addr)
-			}
-		},
-		OnDegraded: func(dg health.Degradation) {
-			// Advisory too: a fail-slow node still answers, just slowly.
-			// The floor inside MarkDegraded may refuse the quarantine —
-			// hedging then carries the tail until capacity returns.
-			if dg.Degraded {
-				arb.MarkDegraded(dg.Addr)
-			} else {
-				arb.MarkRestored(dg.Addr)
-			}
-		},
+		// Set's errors are advisory here: whatever the solve does, the
+		// arbiter has already published a mapping that routes to no down
+		// node, and overloaded or degraded nodes are still valid routes.
+		OnChange: func(e health.Event) { arb.Set(e.Addr, e.Flag, e.On) },
 	})
 	if err != nil {
 		return err
@@ -750,7 +726,7 @@ func startDaemon(d *ion.Daemon, idx int, wrap func(int, net.Listener) net.Listen
 // RestartION warm-restarts the i-th daemon on its original address,
 // re-applying the stack's fault-injection listener wrapper when one is
 // configured. The daemon must have been Closed first (a "kill"); once it
-// serves again, the health prober observes it and MarkUp re-admits it to
+// serves again, the health prober observes it and the arbiter re-admits it to
 // arbitration — the full crash→rejoin loop. The address is unchanged, so
 // existing mappings, client pools, and breaker state converge on their
 // own.
@@ -767,7 +743,7 @@ func (s *Stack) RestartION(i int) error {
 		return fmt.Errorf("livestack: %s was decommissioned, spawn a new I/O node instead", addr)
 	}
 	s.mu.Unlock()
-	if s.Arbiter != nil && s.Arbiter.IsDraining(addr) {
+	if s.Arbiter != nil && s.Arbiter.Has(addr, nodestate.Draining) {
 		return fmt.Errorf("livestack: %s is draining, restart refused (let the drain finish or abort it first)", addr)
 	}
 	if s.cfg.WrapListener == nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 )
 
@@ -96,7 +97,7 @@ func TestRestartRejoin(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !st.Health.IsUp(st.Addrs[victim]) {
+	if st.Health.Has(st.Addrs[victim], nodestate.Down) {
 		t.Fatal("prober still reports the restarted ION down")
 	}
 	if v := reg.Counter("health_transitions_up_total").Value(); v != 1 {
